@@ -12,14 +12,12 @@ slow-but-sure oracles used to cross-check the fast paths.
 from .directions import (
     DIRECTION,
     INFEASIBLE,
-    NULL_GRADIENT,
     DirectionOutcome,
     DirectionSolverError,
     GradientSlate,
     central_direction,
     descent_margin,
     is_scale_invariant_check,
-    project_to_simplex,
     steepest_direction,
 )
 from .fields import FieldGrid, sample_field, trace_streamline, write_streamlines_csv
@@ -43,6 +41,7 @@ from .oracle import (
     hull_contains_origin_2d,
     nondominated_mask,
     pareto_filter_grid,
+    project_to_simplex,
 )
 from .problems import (
     MultiObjectiveProblem,
@@ -89,7 +88,6 @@ __all__ = [
     "INFEASIBLE",
     "IterationRecord",
     "MultiObjectiveProblem",
-    "NULL_GRADIENT",
     "ProximityReport",
     "QueryLedger",
     "StepSchedule",

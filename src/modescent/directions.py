@@ -16,15 +16,20 @@ Two convex programs are solved here, both over a slate of m gradient
   its dual (minimize ||sum_i lambda_i g_i||^2 over the unit simplex). Its
   optimal value -0.5 ||V_s||^2 is a signed criticality measure.
 
-The central dual is a nonnegativity-constrained quadratic in m variables; we
-run a finite Wolfe-style minimum-norm-point iteration over the hull of the
-normalized gradients, which is that dual reparametrized to the simplex. The
-steepest dual uses projected gradient steps with a Frank-Wolfe fallback.
+Both duals ask for the minimum-norm point of a convex hull: of the
+normalized gradients for the central QP, of the raw gradients for the
+steepest one. One finite Wolfe corral iteration (:func:`_min_norm_point`)
+solves both, with no iteration budget to tune; it stops at an optimality
+gap of 1e-12 on the prescaled points. Each slate is prescaled by powers of
+two before any norm is taken, which is exact, so no intermediate overflows
+or underflows and the answers are bit for bit those of the unscaled
+arithmetic wherever that does not. A result is lost only when it lies
+outside the float range itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -33,14 +38,17 @@ Array = np.ndarray
 
 DIRECTION = "direction"
 INFEASIBLE = "infeasible"
-NULL_GRADIENT = "null-gradient"
 
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_CAP = 1e6
 
 
 class DirectionSolverError(RuntimeError):
-    """Raised when an iteration cap trips; carries the best KKT residual."""
+    """Raised when the min-norm iteration fails.
+
+    ``best_residual`` is the optimality gap ||x||^2 - min_j p_j . x of the
+    iterate it stopped at.
+    """
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(f"{message} (best KKT residual {best_residual:.3e})")
@@ -89,11 +97,10 @@ class GradientSlate:
 class DirectionOutcome:
     """Result of a central-direction solve.
 
-    kind is one of "direction", "infeasible", "null-gradient". For
-    "direction", ``vector`` solves the QP, ``active_set``/``multipliers``
-    describe the KKT certificate (V = -sum multipliers[i] * slate[i] over the
-    active set) and ``norm_capped`` flags feasible solves whose norm exceeds
-    the cap. For "infeasible", ``certificate`` holds simplex weights mu with
+    kind is "direction" or "infeasible". For "direction", ``vector``
+    solves the QP, ``active_set``/``multipliers`` describe the KKT
+    certificate (V = -sum multipliers[i] * slate[i] over the active set) and
+    ``norm_capped`` flags feasible solves whose norm exceeds the cap. For "infeasible", ``certificate`` holds simplex weights mu with
     ||sum mu_i g_i/||g_i|| || <= tol, i.e. zero in the hull of normalized
     gradients.
     """
@@ -136,10 +143,15 @@ def _min_norm_point(
     Finite active-set method: alternate between adding the vertex most
     violating the supporting-hyperplane test and reprojecting onto the
     affine hull of the current corral. Vertex ties break to the lowest
-    index, so degenerate (duplicated) inputs stay deterministic.
+    index, so degenerate (duplicated) inputs stay deterministic. Converged
+    means min_j p_j . x >= ||x||^2 - opt_tol, an absolute gap, so callers
+    scale the points to entries or norms of order one first.
 
     Returns (x, weights, support) with x = weights @ points, weights on the
-    simplex, support the indices with positive weight.
+    simplex, support the indices with positive weight. Raises
+    DirectionSolverError when either loop runs out or when the most
+    violating vertex is already in the corral (the affine solve has lost
+    accuracy and no further step can help).
     """
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
@@ -148,15 +160,18 @@ def _min_norm_point(
         max_major = 24 * m + 120
     support: List[int] = [int(np.argmin(np.diag(gram)))]
     w = np.array([1.0])
-    converged = False
     for _ in range(max_major):
         sub = gram[np.ix_(support, support)]
         d = gram[:, support] @ w
         xx = float(w @ sub @ w)
         j = int(np.argmin(d))
-        if d[j] >= xx - opt_tol or j in support:
-            converged = True
+        if d[j] >= xx - opt_tol:
             break
+        if j in support:
+            raise DirectionSolverError(
+                "minimum-norm-point iteration stalled on a corral vertex",
+                xx - float(d[j]),
+            )
         support.append(j)
         w = np.append(w, 0.0)
         for _ in range(2 * m + 8):
@@ -177,14 +192,16 @@ def _min_norm_point(
                 w[keep] = 1.0
             support = [s for s, k in zip(support, keep) if k]
             w = w[keep]
+        else:
+            raise DirectionSolverError(
+                "minimum-norm-point corral loop ran out", xx - float(d[j])
+            )
         total = w.sum()
         if total > 0:
             w = w / total
-    if not converged:
-        x = pts[support].T @ w
+    else:
         raise DirectionSolverError(
-            "minimum-norm-point iteration cap exceeded",
-            float(np.linalg.norm(x)),
+            "minimum-norm-point iteration cap exceeded", xx - float(d[j])
         )
     full = np.zeros(m)
     for s, wi in zip(support, w):
@@ -206,6 +223,17 @@ def _slate_vectors(slate: Union[GradientSlate, Array, Sequence]) -> Array:
     return vectors
 
 
+def _row_peaks(vectors: Array) -> Array:
+    """Largest absolute entry of each row; 0 exactly for a null row.
+
+    Raises ValueError on a non-finite entry (max propagates NaN and inf).
+    """
+    peaks = np.abs(vectors).max(axis=1)
+    if not np.all(np.isfinite(peaks)):
+        raise ValueError("slate has non-finite entries")
+    return peaks
+
+
 def central_direction(
     slate: Union[GradientSlate, Array, Sequence],
     tol: float = DEFAULT_TOL,
@@ -219,15 +247,21 @@ def central_direction(
     solves whose norm exceeds ``norm_cap`` keep kind "direction" but set
     ``norm_capped`` (nearly critical; treat downstream like a blow-up).
 
-    Raises ValueError on a null slate entry or nonpositive tol.
+    Raises ValueError on a null slate entry, a non-finite slate or
+    nonpositive tol.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     vectors = _slate_vectors(slate)
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0.0):
+    peaks = _row_peaks(vectors)
+    if np.any(peaks == 0.0):
         raise ValueError("null slate entry; criticality must be handled upstream")
-    unit = vectors / norms[:, None]
+    # row i is scaled by 2**-e_i to a largest entry in [0.5, 1), so its norm
+    # neither overflows nor underflows; the scaling is exact
+    _, exps = np.frexp(peaks)
+    scaled = np.ldexp(vectors, -exps[:, None])
+    scaled_norms = np.linalg.norm(scaled, axis=1)
+    unit = scaled / scaled_norms[:, None]
     x, mu, support = _min_norm_point(unit)
     delta = float(np.linalg.norm(x))
     if delta <= tol:
@@ -241,13 +275,20 @@ def central_direction(
     v = -x / (delta * delta)
     vnorm = float(np.linalg.norm(v))
     active = [i for i in support if mu[i] > 0.0]
-    lambdas = np.array([mu[i] / (delta * delta * norms[i]) for i in active])
-    slack = vectors @ v + norms
+    # the certificate is formed in the scaled rows: lambda_i = 2**-e_i * a_i
+    # and slack_i = 2**e_i * scaled_slack_i, so lambda_i g_i = a_i scaled_i and
+    # lambda_i slack_i = a_i scaled_slack_i stay finite for any finite slate
+    a = np.array([mu[i] / (delta * delta * scaled_norms[i]) for i in active])
+    lambdas = np.ldexp(a, -exps[active])
+    scaled_slack = scaled @ v + scaled_norms
+    slack = np.ldexp(scaled_slack, exps)
     primal = float(max(slack.max(), 0.0))
     stationarity = float(
-        np.linalg.norm(v + vectors[active].T @ lambdas) if active else np.inf
+        np.linalg.norm(v + scaled[active].T @ a) if active else np.inf
     )
-    complementarity = float(np.abs(lambdas * slack[active]).max()) if active else 0.0
+    complementarity = (
+        float(np.abs(a * scaled_slack[active]).max()) if active else 0.0
+    )
     residual = max(primal, stationarity, complementarity)
     return DirectionOutcome(
         kind=DIRECTION,
@@ -261,75 +302,28 @@ def central_direction(
     )
 
 
-def project_to_simplex(v: Array) -> Array:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, n + 1)
-    cond = u - css / ind > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def steepest_direction(
-    gradients: Union[Array, Sequence],
-    max_iter: int = 10000,
-    gap_tol: float = 1e-12,
-) -> Tuple[Array, float]:
+def steepest_direction(gradients: Union[Array, Sequence]) -> Tuple[Array, float]:
     """Solve argmin_V max_i g_i . V + 0.5 ||V||^2.
 
     Returns (V_s, value) with value = -0.5 ||V_s||^2 <= 0, zero exactly at
-    critical points. Null gradients are permitted and give V_s = 0.
+    critical points. Null gradients are permitted and give V_s = 0; a
+    non-finite slate raises ValueError.
 
-    The dual (min ||sum lambda_i g_i||^2 over the simplex) is solved with
-    projected-gradient steps of size 1/L; whenever such a step fails to
-    decrease the objective the iteration falls back to a Frank-Wolfe step
-    with exact line search. The combined budget is ``max_iter`` iterations;
-    the best iterate so far is returned if the budget runs out.
+    V_s is minus the minimum-norm point of conv{g_i} (the dual, minimize
+    ||sum lambda_i g_i||^2 over the simplex), found by the Wolfe iteration
+    on the slate scaled by 2**-e to a largest entry in [0.5, 1). Its stopping
+    test bounds the optimality gap: max_i g_i . V_s + ||V_s||^2 <= 1e-12 * 4**e,
+    which is below 4e-12 * max_ij g_ij^2. steepest_direction(2**k * G) is
+    2**k times the result for G, bit for bit, wherever neither overflows or
+    underflows.
     """
-    grads = np.atleast_2d(np.asarray(gradients, dtype=float))
-    m, n = grads.shape
-    norms = np.linalg.norm(grads, axis=1)
-    if np.any(norms == 0.0):
-        return np.zeros(n), 0.0
-    if m == 1:
-        v = -grads[0]
-        return v, -0.5 * float(v @ v)
-    gram = grads @ grads.T
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    lip = max(lip, np.finfo(float).tiny)
-    lam = np.full(m, 1.0 / m)
-    fw_mode = False
-
-    def quad(l: Array) -> float:
-        return 0.5 * float(l @ gram @ l)
-
-    current = quad(lam)
-    for _ in range(max_iter):
-        g = gram @ lam
-        lgl = float(lam @ g)
-        gap = lgl - float(g.min())
-        if gap <= gap_tol * max(1.0, lgl):
-            break
-        if not fw_mode:
-            cand = project_to_simplex(lam - g / lip)
-            value = quad(cand)
-            if value < current:
-                lam, current = cand, value
-                continue
-            fw_mode = True
-        j = int(np.argmin(g))
-        dgd = gram[j, j] - 2.0 * g[j] + lgl
-        if dgd <= 0.0:
-            step = 1.0
-        else:
-            step = min(max(gap / dgd, 0.0), 1.0)
-        lam = lam + step * (np.eye(m)[j] - lam)
-        current = quad(lam)
-    v = -(grads.T @ lam)
+    grads = _slate_vectors(gradients)
+    peaks = _row_peaks(grads)
+    if np.any(peaks == 0.0):
+        return np.zeros(grads.shape[1]), 0.0
+    _, exp = np.frexp(peaks.max())
+    x, _, _ = _min_norm_point(np.ldexp(grads, -exp))
+    v = -np.ldexp(x, exp)
     return v, -0.5 * float(v @ v)
 
 

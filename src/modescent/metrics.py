@@ -122,10 +122,11 @@ def alignment_gap(gradients: Union[Array, Sequence], radius: float) -> float:
     Negative values certify a direction descending every objective inside
     the ball; 0 means the origin lies in the hull of the normalized
     gradients. By minimax duality z(R) equals -R times the distance from
-    the origin to that hull, computed here through the simplex-projected
-    solver. That route is independent of the active-set iteration behind
-    central_direction, so the two can cross-check each other (the planar
-    angular sweep is a third route, used in the tests).
+    the origin to that hull, computed here through ``steepest_direction``
+    on the normalized gradients. That runs the same Wolfe min-norm kernel
+    as central_direction, so the two cannot vouch for each other; the tests
+    cross-check z(R) against the independent references in ``oracle``
+    (``steepest_dual_reference`` for any n, the angular sweep for n = 2).
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")

@@ -1,9 +1,10 @@
 """Brute-force reference computations used to cross-check the fast paths.
 
-Everything here trades speed for independence: dense grids, angular sweeps
-and finite differences that share no code with the QP solvers they verify.
-The planar routines (n = 2) exist because exhaustive search is only viable
-there; callers must not feed them higher-dimensional data.
+Everything here trades speed for independence: dense grids, angular sweeps,
+finite differences and a first-order solve of the steepest dual that share
+no code with the QP solvers they verify. The planar routines (n = 2) exist
+because exhaustive search is only viable there; callers must not feed them
+higher-dimensional data.
 """
 
 from __future__ import annotations
@@ -177,6 +178,65 @@ def brute_force_central(
         finest_step=float(spacing),
         box_half=float(box_half),
     )
+
+
+def project_to_simplex(v: Array) -> Array:
+    """Euclidean projection onto the probability simplex (sort-based)."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, n + 1)
+    cond = u - css / ind > 0
+    rho = int(np.nonzero(cond)[0][-1])
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def steepest_dual_reference(gradients: Array) -> Tuple[Array, float]:
+    """First-order solve of the steepest dual, for any n.
+
+    Minimizes ||sum lambda_i g_i||^2 over the simplex with projected-gradient
+    steps of size 1/L; whenever such a step fails to decrease the objective
+    the iteration falls back to Frank-Wolfe steps with exact line search.
+    Stops when the Frank-Wolfe gap drops below 1e-12 (relative) or after
+    10000 iterations, returning the last iterate. Every iterate
+    is feasible, so the returned ||V||^2 bounds the optimum from above.
+    Returns (V, -0.5 ||V||^2) like ``steepest_direction``.
+    """
+    grads = np.atleast_2d(np.asarray(gradients, dtype=float))
+    m, n = grads.shape
+    if np.any(np.linalg.norm(grads, axis=1) == 0.0):
+        return np.zeros(n), 0.0
+    gram = grads @ grads.T
+    lip = max(float(np.linalg.eigvalsh(gram)[-1]), np.finfo(float).tiny)
+    lam = np.full(m, 1.0 / m)
+    fw_mode = False
+
+    def quad(l: Array) -> float:
+        return 0.5 * float(l @ gram @ l)
+
+    current = quad(lam)
+    for _ in range(10000):
+        g = gram @ lam
+        lgl = float(lam @ g)
+        gap = lgl - float(g.min())
+        if gap <= 1e-12 * max(1.0, lgl):
+            break
+        if not fw_mode:
+            cand = project_to_simplex(lam - g / lip)
+            value = quad(cand)
+            if value < current:
+                lam, current = cand, value
+                continue
+            fw_mode = True
+        j = int(np.argmin(g))
+        dgd = gram[j, j] - 2.0 * g[j] + lgl
+        step = 1.0 if dgd <= 0.0 else min(max(gap / dgd, 0.0), 1.0)
+        lam = lam + step * (np.eye(m)[j] - lam)
+        current = quad(lam)
+    v = -(grads.T @ lam)
+    return v, -0.5 * float(v @ v)
 
 
 def nondominated_mask(values: Array) -> Array:

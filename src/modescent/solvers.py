@@ -49,6 +49,7 @@ Array = np.ndarray
 STOP_NULL_GRADIENT = "NullGradient"
 STOP_INFEASIBLE = "Infeasible"
 STOP_MAX_ITER = "MaxIter"
+STOP_LINE_SEARCH_STALL = "LineSearchStall"
 
 BRANCH_VANISHING = "vanishing-gradient"
 BRANCH_BLOWUP = "direction-blowup"
@@ -418,7 +419,10 @@ def run_incremental_central_armijo(
         else:
             t = t_next
             retained, other = f_accepted, f_probe
-        assert retained <= other, "swap bookkeeping lost monotonicity"
+        if not retained <= other:
+            raise RuntimeError(
+                f"swap bookkeeping lost monotonicity ({retained!r} > {other!r})"
+            )
         records.append(
             IterationRecord(
                 k=k,
@@ -451,7 +455,9 @@ def run_full_steepest(
     and backtracks on the max-over-objectives decrease test
     max_i [f_i(x + alpha V) - f_i(x)] <= beta * alpha * max_i g_i . V.
     Stops with the NullGradient label when ||V_s|| falls below ``crit_tol``
-    (criticality) or at the iteration cap.
+    (criticality), with LineSearchStall when no step within ``max_halvings``
+    halvings passes the test (the needed decrease is lost in float noise),
+    or at the iteration cap.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -501,7 +507,8 @@ def run_full_steepest(
                 break
             alpha *= 0.5
         if not accepted:
-            raise RuntimeError(f"no acceptable steepest step within {max_halvings} halvings")
+            records.append(terminal(k, STOP_LINE_SEARCH_STALL))
+            return records
         records.append(
             IterationRecord(
                 k=k,
@@ -542,7 +549,9 @@ def run_scalarized(
 
     All m gradients are queried every iteration (the weighted gradient needs
     them even for zero weights); each line-search trial costs m function
-    queries.
+    queries. Stops with NullGradient when the weighted gradient falls below
+    ``crit_tol``, with LineSearchStall when no step within ``max_halvings``
+    halvings passes the test, or at the iteration cap.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -588,7 +597,8 @@ def run_scalarized(
                 break
             alpha *= 0.5
         if not accepted:
-            raise RuntimeError(f"no acceptable scalarized step within {max_halvings} halvings")
+            records.append(terminal(k, STOP_LINE_SEARCH_STALL))
+            return records
         values, min_grad = _diagnostics(problem, x, True)
         records.append(
             IterationRecord(

@@ -199,7 +199,7 @@ def test_criterion_3_scale_invariance(acceptance):
             out = central_direction(cand)
             if out.kind != DIRECTION or np.linalg.norm(cand, axis=1).min() <= 1e-6:
                 continue
-            vs_try, _ = steepest_direction(cand, gap_tol=1e-8)
+            vs_try, _ = steepest_direction(cand)
             unit = cand / np.linalg.norm(cand, axis=1)[:, None]
             vhat = vs_try / np.linalg.norm(vs_try)
             # a vertex solution (parallel to one -g_i) is robust to
@@ -221,7 +221,7 @@ def test_criterion_3_scale_invariance(acceptance):
             out2 = central_direction(scaled)
             rel = np.linalg.norm(out2.vector - base.vector) / base.norm
             max_central_rel = max(max_central_rel, rel)
-            vs2, _ = steepest_direction(scaled, gap_tol=1e-8)
+            vs2, _ = steepest_direction(scaled)
             cosine = np.dot(vs, vs2) / (np.linalg.norm(vs) * np.linalg.norm(vs2))
             best_angle = max(best_angle, math.acos(min(1.0, max(-1.0, cosine))))
         # composing each objective with exp rescales its gradient by

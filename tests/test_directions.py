@@ -8,6 +8,7 @@ import pytest
 from modescent import (
     DIRECTION,
     INFEASIBLE,
+    DirectionSolverError,
     GradientSlate,
     central_direction,
     descent_margin,
@@ -16,6 +17,8 @@ from modescent import (
     project_to_simplex,
     steepest_direction,
 )
+from modescent import directions
+from modescent.oracle import steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,6 +84,9 @@ class TestCentralWorked:
             central_direction(np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             central_direction(np.zeros((2, 2, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                central_direction(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 class TestCentralInvariants:
@@ -198,6 +204,104 @@ class TestSteepest:
             v, value = steepest_direction(slate)
             assert value <= 0.0
             assert value == pytest.approx(-0.5 * float(v @ v), abs=1e-12)
+
+    def test_matches_the_first_order_reference(self):
+        # n >= 2: for n = 1 with opposite signs both optima are 0 and the
+        # two solvers return rounding noise of different sizes (~1e-33)
+        rng = np.random.default_rng(2105)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(2, 10))
+            slate = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
+            v, _ = steepest_direction(slate)
+            v_ref, _ = steepest_dual_reference(slate)
+            assert float(v @ v) <= float(v_ref @ v_ref) * (1.0 + 1e-12)
+            scale = float((slate * slate).sum(axis=1).max())
+            assert float((slate @ v).max()) + float(v @ v) <= 1e-11 * scale
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        for _ in range(20):
+            slate = random_slate(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6)))
+            v, value = steepest_direction(slate)
+            for k in (-400, -40, 3, 400):
+                vk, value_k = steepest_direction(2.0**k * slate)
+                assert np.array_equal(vk, 2.0**k * v)
+                assert value_k == 4.0**k * value
+
+    def test_tiny_gradients_are_not_null(self):
+        v, value = steepest_direction(np.array([[1e-300, 0.0], [0.0, 1e-300]]))
+        assert v == pytest.approx([-0.5e-300, -0.5e-300], rel=1e-15, abs=0.0)
+        assert value == 0.0  # -0.5 ||V||^2 underflows; V does not
+
+    def test_rejects_non_finite_slates(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                steepest_direction(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+class TestFloatRange:
+    def test_huge_orthogonal_pair_is_feasible(self):
+        out = central_direction(np.array([[1e300, 0.0], [0.0, 1e300]]))
+        assert out.kind == DIRECTION
+        assert out.vector == pytest.approx([-1.0, -1.0])
+        assert out.multipliers == pytest.approx([1e-300, 1e-300], rel=1e-12)
+
+    def test_tiny_entries_are_not_null(self):
+        out = central_direction(np.array([[1e-300, 0.0], [0.0, 1e-300]]))
+        assert out.kind == DIRECTION
+        assert out.vector == pytest.approx([-1.0, -1.0])
+        single = central_direction(np.array([[3e-300, 4e-300]]))
+        assert single.vector == pytest.approx([-0.6, -0.8])
+
+    def test_row_norm_beyond_the_float_range_keeps_the_certificate(self):
+        # ||(1.5e308, 1.5e308)|| overflows, yet V and the KKT data are finite
+        out = central_direction(np.array([[1.5e308, 1.5e308], [1.0, 0.0]]))
+        assert out.kind == DIRECTION
+        assert out.vector == pytest.approx([-1.0, -math.tan(math.pi / 8)])
+        assert np.all(np.isfinite(out.multipliers))
+        assert np.isfinite(out.kkt_residual)
+        # absolute residual: rounding in the 1.5e308 row is about 1e292
+        assert out.kkt_residual <= 1e-12 * 1.5e308
+
+    def test_prescale_leaves_normal_range_bits_alone(self, rng):
+        for _ in range(50):
+            slate = random_slate(rng, 4, 3) * np.exp(rng.uniform(-20, 20, (4, 1)))
+            norms = np.linalg.norm(slate, axis=1)
+            out = central_direction(slate)
+            x, mu, support = directions._min_norm_point(slate / norms[:, None])
+            if out.kind == DIRECTION:
+                delta = float(np.linalg.norm(x))
+                assert np.array_equal(out.vector, -x / (delta * delta))
+                active = [i for i in support if mu[i] > 0.0]
+                lambdas = mu[active] / (delta * delta * norms[active])
+                assert np.array_equal(out.multipliers, lambdas)
+                v = out.vector
+                slack = slate @ v + norms
+                residual = max(
+                    max(slack.max(), 0.0),
+                    np.linalg.norm(v + slate[active].T @ lambdas),
+                    np.abs(lambdas * slack[active]).max(),
+                )
+                assert out.kkt_residual == residual
+
+
+class TestMinNormKernel:
+    def test_corral_loop_running_out_raises(self, monkeypatch):
+        # an affine solve that never yields usable weights keeps the inner
+        # loop cycling; it must fail by name, not return a half-solved point
+        monkeypatch.setattr(
+            directions, "_affine_minimizer", lambda sub: np.full(len(sub), np.nan)
+        )
+        with pytest.raises(DirectionSolverError, match="corral loop"):
+            directions._min_norm_point(np.eye(2))
+
+    def test_violating_corral_vertex_is_not_convergence(self, monkeypatch):
+        # weights that ignore the new vertex leave it violating the
+        # optimality test while already in the corral
+        monkeypatch.setattr(
+            directions, "_affine_minimizer", lambda sub: np.eye(len(sub))[0]
+        )
+        with pytest.raises(DirectionSolverError, match="stalled"):
+            directions._min_norm_point(np.eye(2))
 
 
 class TestSimplexProjection:

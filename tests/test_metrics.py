@@ -16,6 +16,7 @@ from modescent import (
     rate_bound,
     rate_bound_margins,
 )
+from modescent.oracle import steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
 ORTH = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -154,6 +155,20 @@ class TestAlignmentGap:
             exact = alignment_gap(slate, 1.0)
             swept = angular_sweep_alignment_gap(slate, 1.0)
             assert abs(exact - swept) <= 5e-4
+
+    def test_agrees_with_first_order_reference_beyond_the_plane(self, rng):
+        # z(R) runs on the same min-norm kernel as central_direction, so the
+        # independent check is the oracle's projected-gradient dual solve
+        for _ in range(20):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(3, 7))
+            slate = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
+            unit = slate / np.linalg.norm(slate, axis=1)[:, None]
+            v_ref, _ = steepest_dual_reference(unit)
+            z_ref = -float(np.linalg.norm(v_ref))
+            z = alignment_gap(slate, 1.0)
+            # the reference's dual point is feasible, so -z_ref >= -z
+            assert z >= z_ref * (1.0 + 1e-12)
+            assert z == pytest.approx(z_ref, abs=1e-6)
 
     def test_sweep_is_exact_on_the_orthonormal_pair(self):
         exact = alignment_gap(ORTH, 1.0)

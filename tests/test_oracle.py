@@ -20,6 +20,7 @@ from modescent import (
     nondominated_mask,
     pareto_filter_grid,
 )
+from modescent.oracle import steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,6 +193,18 @@ class TestFiniteDifference:
         ledger = QueryLedger.for_objectives(2)
         finite_diff_gradient(fig1, 1, np.zeros(2), ledger=ledger)
         assert list(ledger.function_counts) == [0, 4]
+
+
+class TestSteepestDualReference:
+    def test_worked_values(self):
+        v, value = steepest_dual_reference(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert v == pytest.approx([-0.5, -0.5])
+        assert value == pytest.approx(-0.25)
+        # dual weights (0.2, 0.8) give V = (-0.4, -0.8)
+        v, value = steepest_dual_reference(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        assert v == pytest.approx([-0.4, -0.8], abs=1e-9)
+        v, value = steepest_dual_reference(np.array([[0.0, 0.0], [1.0, 2.0]]))
+        assert (v.tolist(), value) == ([0.0, 0.0], 0.0)
 
 
 class TestEfficientCurve:

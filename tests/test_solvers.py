@@ -22,12 +22,30 @@ from modescent import (
     run_incremental_central,
     run_incremental_central_armijo,
     run_scalarized,
+    steepest_direction,
     write_trace_csv,
 )
+from modescent.problems import gradient
 
 
 def completed(records):
     return [r for r in records if r.stop_reason is None]
+
+
+def misleading_parabola():
+    """f(x) = x^2 whose gradient oracle turns wrong (constant -1) at x <= 1.
+
+    From x0 = 3 one backtracked step lands on x = 0, where the claimed
+    descent direction ascends and every trial step fails.
+    """
+    return MultiObjectiveProblem(
+        dimension=1,
+        objectives=(lambda x: float(x[0] ** 2),),
+        gradient_fns=(
+            lambda x: np.array([2.0 * x[0] if x[0] > 1.0 else -1.0]),
+        ),
+        name="misleading-parabola",
+    )
 
 
 def one_dim_quadratic():
@@ -235,6 +253,17 @@ class TestIncrementalArmijo:
         with pytest.raises(RuntimeError):
             run_incremental_central_armijo(fam, 0.8 * np.ones(3), beta=0.5)
 
+    def test_unordered_probe_values_fail_by_name(self, fig1):
+        # a NaN probe value cannot be ordered against the accepted one
+        broken = MultiObjectiveProblem(
+            dimension=2,
+            objectives=(fig1.objectives[0], lambda x: float("nan")),
+            gradient_fns=fig1.gradient_fns,
+            name="nan-second-objective",
+        )
+        with pytest.raises(RuntimeError, match="bookkeeping"):
+            run_incremental_central_armijo(broken, (1.5, 1.0), max_iter=5)
+
 
 class TestArmijoBacktrack:
     def test_full_step_accepted(self):
@@ -288,13 +317,33 @@ class TestFullSteepest:
     def test_m_gradients_per_iteration(self):
         fam = make_random_quadratic_family(3, 3, seed=61)
         recs = run_full_steepest(fam, np.ones(3), beta=0.5, max_iter=40)
-        assert recs[-1].stop_reason == "MaxIter"
+        assert recs[-1].stop_reason == "LineSearchStall"
         for r in completed(recs):
             assert r.grad_evals == 3 * r.k
+        # the stall is float noise in the objective differences, not an
+        # inexact direction: at the last completed step and at the stalled
+        # one, V still strictly descends every objective and sits at the
+        # optimum to far below its own size (||V||^2 is about 4e-14 here)
+        for r in (completed(recs)[-1], recs[-1]):
+            ledger = QueryLedger.for_objectives(3)
+            grads = np.vstack([gradient(fam, i, r.x, ledger) for i in range(3)])
+            v, _ = steepest_direction(grads)
+            slope = float((grads @ v).max())
+            assert slope < 0.0
+            assert slope + float(v @ v) <= 1e-6 * float(v @ v)
 
     def test_beta_guard(self, fig1):
         with pytest.raises(ValueError):
             run_full_steepest(fig1, (0.0, 0.0), beta=2.0)
+
+    def test_stalled_line_search_keeps_the_records(self):
+        recs = run_full_steepest(misleading_parabola(), np.array([3.0]), beta=0.25)
+        assert [r.stop_reason for r in recs] == [None, "LineSearchStall"]
+        assert recs[0].alpha == 0.5
+        assert recs[-1].k == 2
+        assert np.array_equal(recs[-1].x, np.array([0.0]))
+        # baseline + 2 trials, then baseline + all 61 failed trials
+        assert (recs[-1].grad_evals, recs[-1].fn_evals) == (2, 3 + 1 + 61)
 
 
 class TestScalarized:
@@ -311,6 +360,15 @@ class TestScalarized:
         recs = run_scalarized(fig1, (1.0, 0.0), (1.0, 1.0), beta=0.5, max_iter=200)
         assert recs[-1].stop_reason == "NullGradient"
         assert recs[-1].x == pytest.approx([-2.0, 0.0], abs=1e-5)
+
+    def test_stalled_line_search_keeps_the_records(self):
+        recs = run_scalarized(
+            misleading_parabola(), (1.0,), np.array([3.0]), beta=0.25
+        )
+        assert [r.stop_reason for r in recs] == [None, "LineSearchStall"]
+        assert recs[0].alpha == 0.5
+        assert np.array_equal(recs[-1].x, np.array([0.0]))
+        assert (recs[-1].grad_evals, recs[-1].fn_evals) == (2, 3 + 1 + 61)
 
     def test_weight_validation(self, fig1):
         for pi in ((-0.5, 1.5), (1.0,), (0.4, 0.4)):
