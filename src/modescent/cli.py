@@ -433,6 +433,29 @@ def _suite_kkt(seed: int) -> List[dict]:
         if hull != (kind == INFEASIBLE):
             mismatches += 1
     checks.append(_check("planar-feasibility-agreement", -float(mismatches)))
+
+    # slates that change one row at a time, as in the incremental solver,
+    # drifting from a common descent cone towards criticality: the solve
+    # warm-started from the previous support must match the cold one (same
+    # verdict, V within 1e-12 ||V|| max(1, ||V||))
+    offset = 2.0 * rng.normal(size=4)
+    grads = _random_slate(rng, 5, 4) + offset
+    flips = 0
+    worst = 0.0
+    start: tuple = ()
+    for step in range(60):
+        grads[step % 5] = (1.0 - step / 40) * offset + rng.normal(size=4)
+        cold = central_direction(grads)
+        warm = central_direction(grads, start=start)
+        if warm.kind != cold.kind:
+            flips += 1
+        elif cold.kind == DIRECTION:
+            err = float(np.linalg.norm(warm.vector - cold.vector))
+            worst = max(worst, err / (cold.norm * max(1.0, cold.norm)))
+        start = warm.active_set
+    checks.append(
+        _check("warm-start-agreement", -float(flips) if flips else 1e-12 - worst)
+    )
     return checks
 
 

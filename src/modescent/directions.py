@@ -20,11 +20,15 @@ Both duals ask for the minimum-norm point of a convex hull: of the
 normalized gradients for the central QP, of the raw gradients for the
 steepest one. One finite Wolfe corral iteration (:func:`_min_norm_point`)
 solves both, with no iteration budget to tune; it stops at an optimality
-gap of 1e-12 on the prescaled points. Each slate is prescaled by powers of
-two before any norm is taken, which is exact, so no intermediate overflows
-or underflows and the answers are bit for bit those of the unscaled
-arithmetic wherever that does not. A result is lost only when it lies
-outside the float range itself.
+gap of 1e-12 on the prescaled points. The central QP can start that
+iteration from a given corral (``start``): the incremental solvers change
+one or two slate rows per iteration and pass the previous active set, which
+leaves about one affine solve per QP instead of one per active row. Each
+slate is prescaled by powers of two before any norm is taken, which is
+exact, so no intermediate overflows or underflows and the answers are bit
+for bit those of the unscaled arithmetic wherever that does not. A result
+is lost only when it lies outside the float range itself; a row is null
+only when it is exactly zero.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ INFEASIBLE = "infeasible"
 
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_CAP = 1e6
+
+# absolute optimality gap at which the min-norm iteration stops
+_OPT_TOL = 1e-12
 
 
 class DirectionSolverError(RuntimeError):
@@ -90,7 +97,8 @@ class GradientSlate:
 
     @property
     def all_nonnull(self) -> bool:
-        return bool(np.all(self.norms > 0.0))
+        """No row is exactly zero (a norm can underflow; a row cannot)."""
+        return bool(np.all(np.any(self.vectors, axis=1)))
 
 
 @dataclass
@@ -136,16 +144,28 @@ def _affine_minimizer(gram_s: Array) -> Array:
 
 
 def _min_norm_point(
-    points: Array, opt_tol: float = 1e-12, max_major: Optional[int] = None
+    points: Array, start: Sequence[int] = ()
 ) -> Tuple[Array, Array, List[int]]:
     """Minimum-norm point of conv{rows of points} (Wolfe's corral iteration).
 
     Finite active-set method: alternate between adding the vertex most
     violating the supporting-hyperplane test and reprojecting onto the
-    affine hull of the current corral. Vertex ties break to the lowest
-    index, so degenerate (duplicated) inputs stay deterministic. Converged
-    means min_j p_j . x >= ||x||^2 - opt_tol, an absolute gap, so callers
-    scale the points to entries or norms of order one first.
+    affine hull of the current corral (the minor cycle: affine solve, then
+    a ratio test that drops vertices whose weight would turn negative).
+    Vertex ties break to the lowest index, so degenerate (duplicated) inputs
+    stay deterministic. Converged means min_j p_j . x >= ||x||^2 - 1e-12, an
+    absolute gap, so callers scale the points to entries or norms of order
+    one first.
+
+    ``start`` names the corral to begin from. Empty (the default), the
+    iteration starts at the lowest-norm vertex. Otherwise the corral starts
+    as those vertices with uniform weights, less any that are affinely
+    dependent on the earlier ones, and the minor cycle runs before the first
+    optimality test. A start near the final support (the support of a slate
+    that differs in a row or two) leaves about one affine solve to do
+    instead of one per support vertex; a poor start only costs iterations,
+    since the optimality test is the same. Raises ValueError on an index
+    outside [0, m).
 
     Returns (x, weights, support) with x = weights @ points, weights on the
     simplex, support the indices with positive weight. Raises
@@ -156,53 +176,66 @@ def _min_norm_point(
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     gram = pts @ pts.T
-    if max_major is None:
-        max_major = 24 * m + 120
-    support: List[int] = [int(np.argmin(np.diag(gram)))]
-    w = np.array([1.0])
-    for _ in range(max_major):
+    if len(start) == 0:
+        support = [int(np.argmin(np.diag(gram)))]
+        w = np.array([1.0])
+    else:
+        support = sorted({int(i) for i in start})
+        if support[0] < 0 or support[-1] >= m:
+            raise ValueError(f"start indices must lie in [0, {m})")
+        # an affinely dependent corral (a duplicated row) has a singular
+        # affine system and can cycle. The squared Cholesky pivots of the
+        # lifted Gram p_i . p_j + 1 are the squared distances of each start
+        # vertex from the affine hull of the earlier ones; a 1e-11 ridge
+        # keeps the factorization defined, and vertices closer than 1e-5 go
+        lifted = gram[np.ix_(support, support)] + 1.0
+        lifted[np.diag_indices(len(support))] += 1e-11
+        pivots = np.diagonal(np.linalg.cholesky(lifted))
+        support = [s for s, p in zip(support, pivots) if p * p > 1e-10]
+        w = np.full(len(support), 1.0 / len(support))
+    gap = float("nan")
+    for _ in range(24 * m + 120):
+        if len(support) > 1:
+            for _ in range(2 * m + 8):
+                sub = gram[np.ix_(support, support)]
+                beta = _affine_minimizer(sub)
+                if np.all(beta >= -1e-14):
+                    w = np.clip(beta, 0.0, None)
+                    break
+                shrink = beta < -1e-14
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratios = np.where(shrink, w / (w - beta), np.inf)
+                theta = float(ratios.min())
+                w = w + theta * (beta - w)
+                w[w < 1e-13] = 0.0
+                keep = w > 0.0
+                if not np.any(keep):
+                    keep[int(np.argmax(beta))] = True
+                    w[keep] = 1.0
+                support = [s for s, k in zip(support, keep) if k]
+                w = w[keep]
+            else:
+                raise DirectionSolverError(
+                    "minimum-norm-point corral loop ran out", gap
+                )
+            total = w.sum()
+            if total > 0:
+                w = w / total
         sub = gram[np.ix_(support, support)]
         d = gram[:, support] @ w
         xx = float(w @ sub @ w)
         j = int(np.argmin(d))
-        if d[j] >= xx - opt_tol:
+        gap = xx - float(d[j])
+        if d[j] >= xx - _OPT_TOL:
             break
         if j in support:
             raise DirectionSolverError(
-                "minimum-norm-point iteration stalled on a corral vertex",
-                xx - float(d[j]),
+                "minimum-norm-point iteration stalled on a corral vertex", gap
             )
         support.append(j)
         w = np.append(w, 0.0)
-        for _ in range(2 * m + 8):
-            sub = gram[np.ix_(support, support)]
-            beta = _affine_minimizer(sub)
-            if np.all(beta >= -1e-14):
-                w = np.clip(beta, 0.0, None)
-                break
-            shrink = beta < -1e-14
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(shrink, w / (w - beta), np.inf)
-            theta = float(ratios.min())
-            w = w + theta * (beta - w)
-            w[w < 1e-13] = 0.0
-            keep = w > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(beta))] = True
-                w[keep] = 1.0
-            support = [s for s, k in zip(support, keep) if k]
-            w = w[keep]
-        else:
-            raise DirectionSolverError(
-                "minimum-norm-point corral loop ran out", xx - float(d[j])
-            )
-        total = w.sum()
-        if total > 0:
-            w = w / total
     else:
-        raise DirectionSolverError(
-            "minimum-norm-point iteration cap exceeded", xx - float(d[j])
-        )
+        raise DirectionSolverError("minimum-norm-point iteration cap exceeded", gap)
     full = np.zeros(m)
     for s, wi in zip(support, w):
         full[s] += wi
@@ -234,10 +267,31 @@ def _row_peaks(vectors: Array) -> Array:
     return peaks
 
 
+def _prescaled_rows(
+    slate: Union[GradientSlate, Array, Sequence]
+) -> Tuple[Array, Array, Array]:
+    """Each row scaled by a power of two to a largest entry in [0.5, 1).
+
+    Returns (scaled, norms, exps) with vectors[i] = 2**exps[i] * scaled[i]
+    exactly and norms[i] = ||scaled[i]||, which neither overflows nor
+    underflows, so scaled / norms gives the unit rows of any finite slate.
+    A row is null only when it is exactly zero. Raises ValueError on a null
+    row or a non-finite entry.
+    """
+    vectors = _slate_vectors(slate)
+    peaks = _row_peaks(vectors)
+    if np.any(peaks == 0.0):
+        raise ValueError("null gradient row; criticality must be handled upstream")
+    _, exps = np.frexp(peaks)
+    scaled = np.ldexp(vectors, -exps[:, None])
+    return scaled, np.linalg.norm(scaled, axis=1), exps
+
+
 def central_direction(
     slate: Union[GradientSlate, Array, Sequence],
     tol: float = DEFAULT_TOL,
     norm_cap: float = DEFAULT_NORM_CAP,
+    start: Sequence[int] = (),
 ) -> DirectionOutcome:
     """Minimum-norm V with g_i . V <= -||g_i|| for every slate entry g_i.
 
@@ -247,22 +301,20 @@ def central_direction(
     solves whose norm exceeds ``norm_cap`` keep kind "direction" but set
     ``norm_capped`` (nearly critical; treat downstream like a blow-up).
 
-    Raises ValueError on a null slate entry, a non-finite slate or
-    nonpositive tol.
+    ``start`` warm-starts the min-norm iteration from a corral of slate
+    indices, typically the ``active_set`` of the previous solve when only a
+    row or two of the slate changed. It changes the work done, not the
+    answer beyond rounding; the default (no start) is the cold solve, the
+    reference the warm one is tested against.
+
+    Raises ValueError on a null slate entry, a non-finite slate, nonpositive
+    tol or a start index outside the slate.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    vectors = _slate_vectors(slate)
-    peaks = _row_peaks(vectors)
-    if np.any(peaks == 0.0):
-        raise ValueError("null slate entry; criticality must be handled upstream")
-    # row i is scaled by 2**-e_i to a largest entry in [0.5, 1), so its norm
-    # neither overflows nor underflows; the scaling is exact
-    _, exps = np.frexp(peaks)
-    scaled = np.ldexp(vectors, -exps[:, None])
-    scaled_norms = np.linalg.norm(scaled, axis=1)
+    scaled, scaled_norms, exps = _prescaled_rows(slate)
     unit = scaled / scaled_norms[:, None]
-    x, mu, support = _min_norm_point(unit)
+    x, mu, support = _min_norm_point(unit, start)
     delta = float(np.linalg.norm(x))
     if delta <= tol:
         return DirectionOutcome(
@@ -333,13 +385,12 @@ def descent_margin(gradients: Union[Array, Sequence], u: Array) -> float:
     Equals min_i |g_i . u| / ||g_i|| for u inside the closed descent cone,
     computed as -max_i g_i . u / ||g_i||; negative when u is not a common
     descent direction. The normalized central direction maximizes this
-    margin over the cone.
+    margin over the cone. Rows are normalized after the power-of-two
+    prescale, so tiny and huge gradients keep their cone; raises ValueError
+    on a null or non-finite gradient.
     """
-    grads = np.atleast_2d(np.asarray(gradients, dtype=float))
-    norms = np.linalg.norm(grads, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("null gradient has no descent cone")
-    unit = grads / norms[:, None]
+    scaled, norms, _ = _prescaled_rows(gradients)
+    unit = scaled / norms[:, None]
     return -float((unit @ np.asarray(u, dtype=float)).max())
 
 

@@ -22,7 +22,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .directions import INFEASIBLE, central_direction, steepest_direction
+from .directions import (
+    INFEASIBLE,
+    _prescaled_rows,
+    central_direction,
+    steepest_direction,
+)
 from .problems import MultiObjectiveProblem, QueryLedger, gradient_all
 
 Array = np.ndarray
@@ -109,11 +114,12 @@ def rate_bound_margins(
 
 
 def _normalized(gradients: Union[Array, Sequence]) -> Tuple[Array, Array]:
-    grads = np.atleast_2d(np.asarray(gradients, dtype=float))
-    norms = np.linalg.norm(grads, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("null gradient")
-    return grads / norms[:, None], norms
+    """Unit rows and row norms, normalized after the power-of-two prescale.
+
+    Raises ValueError on a null or non-finite gradient.
+    """
+    scaled, norms, exps = _prescaled_rows(gradients)
+    return scaled / norms[:, None], np.ldexp(norms, exps)
 
 
 def alignment_gap(gradients: Union[Array, Sequence], radius: float) -> float:

@@ -191,13 +191,19 @@ def armijo_backtrack(
     ValueError when d is not a descent direction for g_j and RuntimeError
     when no step within ``max_halvings`` halvings is acceptable.
     """
-    alpha, _, _, _ = _armijo_details(
+    details = _armijo_details(
         problem, j, x, direction, g_j, beta, ledger, max_halvings
     )
-    return alpha
+    if details is None:
+        raise RuntimeError(
+            f"no acceptable step within {max_halvings} halvings on objective {j}"
+        )
+    return details[0]
 
 
 def _armijo_details(problem, j, x, direction, g_j, beta, ledger, max_halvings):
+    """(alpha, f_base, f_accepted, trials) of the backtracking search, or
+    None when no step within ``max_halvings`` halvings is acceptable."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
     slope = float(np.asarray(g_j, dtype=float) @ direction)
@@ -210,9 +216,7 @@ def _armijo_details(problem, j, x, direction, g_j, beta, ledger, max_halvings):
         if f_trial - f_base <= beta * alpha * slope:
             return alpha, f_base, f_trial, trials
         alpha *= 0.5
-    raise RuntimeError(
-        f"no acceptable step within {max_halvings} halvings on objective {j}"
-    )
+    return None
 
 
 def run_incremental_central(
@@ -230,9 +234,10 @@ def run_incremental_central(
 
     Per iteration: refresh the slate entry of one objective (cyclic order),
     solve the central QP, and move by alpha_k along the normalized
-    direction. Stops on a null refreshed gradient, on a QP with no feasible
-    direction within ``norm_cap`` (both certify criticality) or after
-    ``max_iter`` iterations. Exactly one
+    direction. Stops on a null (exactly zero) refreshed gradient, on a QP
+    with no feasible direction within ``norm_cap`` (both certify
+    criticality) or after ``max_iter`` iterations. Each QP is warm-started
+    from the previous solve's active set. Exactly one
     gradient query per started iteration ends up in the ledger
     ("warm-start" initialization adds m queries up front); no function
     queries at all.
@@ -261,21 +266,26 @@ def run_incremental_central(
     if not slate.all_nonnull:
         records.append(terminal(1, STOP_NULL_GRADIENT, float("nan")))
         return records
+    # each QP starts from the previous support: one or two rows change
+    active: tuple = ()
 
     for k in range(1, max_iter + 1):
         t = (k - 1) % m
         g = gradient(problem, t, x, ledger)
-        if np.linalg.norm(g) == 0.0:
+        if not np.any(g):
             records.append(terminal(k, STOP_NULL_GRADIENT, float("nan")))
             return records
         slate.update(t, g)
-        outcome = central_direction(slate.vectors, tol=qp_tol, norm_cap=norm_cap)
+        outcome = central_direction(
+            slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
+        )
         # "no feasible direction within the norm cap" is the emptiness
         # certificate: a capped-but-feasible QP stops the run the same way.
         if outcome.kind == INFEASIBLE or outcome.norm_capped:
             dir_norm = float("inf") if outcome.kind == INFEASIBLE else outcome.norm
             records.append(terminal(k, STOP_INFEASIBLE, dir_norm))
             return records
+        active = outcome.active_set
         alpha = schedule.alpha(k)
         values, min_grad = _diagnostics(problem, x, diagnostics)
         records.append(
@@ -342,7 +352,13 @@ def run_incremental_central_armijo(
     a new t != j at the new point and hand it the j role when it is lower.
     Exactly two gradient queries per started iteration; function queries are
     the backtracking trials plus its baseline on objective j and one probe
-    of objective t. Needs at least two objectives.
+    of objective t. Needs at least two objectives. Each QP is warm-started
+    from the previous solve's active set.
+
+    Stops on a null (exactly zero) refreshed gradient, on a QP with no
+    feasible direction within ``norm_cap``, with LineSearchStall when no step
+    within ``max_halvings`` halvings passes the test (the records so far are
+    kept), or after ``max_iter`` iterations.
 
     ``t_policy`` is "cyclic" (default) or "random" (seeded). Records carry
     ``step_floor``, the guaranteed lower bound on the accepted step when the
@@ -382,16 +398,20 @@ def run_incremental_central_armijo(
     if not slate.all_nonnull:
         records.append(terminal(1, STOP_NULL_GRADIENT, float("nan")))
         return records
+    # each QP starts from the previous support: one or two rows change
+    active: tuple = ()
 
     for k in range(1, max_iter + 1):
         g_j = gradient(problem, j, x, ledger)
         g_t = gradient(problem, t, x, ledger)
-        if np.linalg.norm(g_j) == 0.0 or np.linalg.norm(g_t) == 0.0:
+        if not np.any(g_j) or not np.any(g_t):
             records.append(terminal(k, STOP_NULL_GRADIENT, float("nan")))
             return records
         slate.update(j, g_j)
         slate.update(t, g_t)
-        outcome = central_direction(slate.vectors, tol=qp_tol, norm_cap=norm_cap)
+        outcome = central_direction(
+            slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
+        )
         # The cap is load-bearing here: past it the guaranteed decrease per
         # backtracking step drops under float rounding noise and the line
         # search can no longer terminate reliably.
@@ -399,10 +419,15 @@ def run_incremental_central_armijo(
             dir_norm = float("inf") if outcome.kind == INFEASIBLE else outcome.norm
             records.append(terminal(k, STOP_INFEASIBLE, dir_norm))
             return records
+        active = outcome.active_set
         unit = outcome.vector / outcome.norm
-        alpha, _, f_accepted, _ = _armijo_details(
+        details = _armijo_details(
             problem, j, x, unit, g_j, beta, ledger, max_halvings
         )
+        if details is None:
+            records.append(terminal(k, STOP_LINE_SEARCH_STALL, outcome.norm))
+            return records
+        alpha, _, f_accepted, _ = details
         step_floor = None
         if problem.lipschitz is not None:
             l_j = problem.lipschitz[j]

@@ -303,6 +303,80 @@ class TestMinNormKernel:
         with pytest.raises(DirectionSolverError, match="stalled"):
             directions._min_norm_point(np.eye(2))
 
+    def test_start_indices_outside_the_slate_raise(self):
+        for start in ((-1, 0), (0, 2), (5,)):
+            with pytest.raises(ValueError, match="start"):
+                directions._min_norm_point(np.eye(2), start)
+        with pytest.raises(ValueError, match="start"):
+            central_direction(np.eye(2), start=(2,))
+
+    def test_warm_solve_fails_by_name(self, monkeypatch):
+        # no fallback to the cold start: a broken warm solve raises
+        monkeypatch.setattr(
+            directions, "_affine_minimizer", lambda sub: np.full(len(sub), np.nan)
+        )
+        with pytest.raises(DirectionSolverError, match="corral loop"):
+            directions._min_norm_point(np.eye(3), (0, 1, 2))
+
+
+def _support(out):
+    if out.kind == DIRECTION:
+        return out.active_set
+    return tuple(int(i) for i in np.flatnonzero(out.certificate))
+
+
+def _warm_start_slate(rng, m, n, case):
+    """Seeded slate; some in a common cone, some with a row duplicated up to
+    a positive factor, some with a row and its negative (0 in the hull)."""
+    g = rng.normal(size=(m, n))
+    if case % 3 == 0:
+        g += 2.0 * rng.normal(size=n)
+    if case % 4 == 1 and m >= 2:
+        g[rng.integers(m)] = g[0] * rng.choice([1.0, 3.0])
+    if case % 5 == 2 and m >= 2:
+        g[1] = -g[0]
+    return g * np.exp(rng.uniform(-3.0, 3.0, (m, 1)))
+
+
+class TestWarmStart:
+    """The cold solve (no ``start``) is the reference for the warm one."""
+
+    def test_warm_solves_match_the_cold_reference(self):
+        rng = np.random.default_rng(3)
+        kinds = {DIRECTION: 0, INFEASIBLE: 0}
+        worst = 0.0
+        for case in range(300):
+            m, n = int(rng.integers(1, 13)), int(rng.integers(1, 21))
+            slate = _warm_start_slate(rng, m, n, case)
+            other = _warm_start_slate(rng, m, n, case + 1)
+            cold = central_direction(slate)
+            kinds[cold.kind] += 1
+            subset = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+            starts = (subset, range(m), _support(central_direction(other)))
+            for start in starts:
+                warm = central_direction(slate, start=tuple(start))
+                assert warm.kind == cold.kind, (case, tuple(start))
+                if cold.kind == DIRECTION:
+                    err = np.linalg.norm(warm.vector - cold.vector)
+                    worst = max(worst, err / (cold.norm * max(1.0, cold.norm)))
+        assert worst <= 1e-12
+        assert min(kinds.values()) >= 50  # both verdicts are exercised
+
+    def test_start_holding_a_duplicated_row(self):
+        # two copies of a row make the start corral affinely dependent;
+        # the solve must neither cycle to its cap nor change the answer
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            slate = rng.normal(size=(10, 12))
+            slate[6] = 3.0 * slate[0]
+            cold = central_direction(slate)
+            start = tuple(sorted({0, 6, *rng.choice(10, 3, replace=False)}))
+            warm = central_direction(slate, start=start)
+            assert warm.kind == cold.kind
+            if cold.kind == DIRECTION:
+                err = np.linalg.norm(warm.vector - cold.vector)
+                assert err <= 1e-12 * cold.norm * max(1.0, cold.norm)
+
 
 class TestSimplexProjection:
     def test_fixed_points(self):
@@ -350,6 +424,17 @@ class TestDescentMargin:
     def test_rejects_null_gradient(self):
         with pytest.raises(ValueError):
             descent_margin(np.array([[0.0, 0.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            descent_margin(np.array([[np.inf, 0.0]]), np.array([1.0, 0.0]))
+
+    def test_tiny_and_huge_gradients_keep_their_cone(self, rng):
+        for _ in range(10):
+            slate = random_slate(rng, 3, 3)
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            margin = descent_margin(slate, u)
+            for k in (-1000, 1000):
+                assert descent_margin(np.ldexp(slate, k), u) == margin
 
 
 class TestGradientSlate:
@@ -372,6 +457,12 @@ class TestGradientSlate:
         assert slate.norms[1] == pytest.approx(2.0 * SQRT2)
         slate.update(0, np.zeros(3))
         assert not slate.all_nonnull
+
+    def test_tiny_rows_are_not_null(self):
+        # the norm of (1e-300, 1e-300) underflows to 0; the row is not zero
+        slate = GradientSlate.from_gradients(np.array([[1e-300, 1e-300], [0.0, 1.0]]))
+        assert slate.norms[0] == 0.0
+        assert slate.all_nonnull
 
     def test_from_gradients_copies(self):
         raw = np.eye(2)

@@ -207,6 +207,23 @@ class TestPerturbationMargin:
         with pytest.raises(ValueError):
             perturbation_margin(ORTH, 2.0)
 
+    def test_tiny_and_huge_gradients_keep_their_margin(self, rng):
+        # the rows are normalized after an exact power-of-two prescale, so
+        # 2**k G gives the same gap and 2**k times the margin, even where
+        # ||G|| itself would underflow or overflow
+        for _ in range(10):
+            slate = rng.normal(size=(3, 2))
+            z = alignment_gap(slate, 0.5)
+            if z <= -1.0:
+                continue
+            margin = perturbation_margin(slate, 0.5)
+            for k in (-1000, 1000):
+                scaled = np.ldexp(slate, k)
+                assert alignment_gap(scaled, 0.5) == z
+                assert perturbation_margin(scaled, 0.5) == np.ldexp(margin, k)
+        with pytest.raises(ValueError):
+            perturbation_margin(np.array([[np.nan, 1.0], [0.0, 1.0]]), 0.5)
+
 
 class TestPointwiseMargins:
     def test_interior_worked_value(self):

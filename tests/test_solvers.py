@@ -25,7 +25,8 @@ from modescent import (
     steepest_direction,
     write_trace_csv,
 )
-from modescent.problems import gradient
+from modescent import directions, solvers
+from modescent.problems import gradient, problem_from_name
 
 
 def completed(records):
@@ -180,6 +181,25 @@ class TestIncrementalCentral:
         assert recs[0].grad_evals == 1
         assert classify_run(recs) == "vanishing-gradient"
 
+    def test_tiny_gradients_are_not_null(self):
+        # every gradient of objective 0 is scaled by 1e-300, so its norm
+        # underflows; the run must still follow the figure1 trajectory
+        kw = dict(slate_init="warm-start")
+        ref = run_incremental_central(
+            problem_from_name("figure1"), (1.5, 1.0), StepSchedule.harmonic(), **kw
+        )
+        tiny = run_incremental_central(
+            problem_from_name("figure1-scaled:1e-300,1"),
+            (1.5, 1.0),
+            StepSchedule.harmonic(),
+            **kw,
+        )
+        assert len(tiny) == len(ref) == 83
+        assert tiny[-1].stop_reason == ref[-1].stop_reason == "Infeasible"
+        for a, b in zip(tiny, ref):
+            assert (a.k, a.grad_evals, a.fn_evals) == (b.k, b.grad_evals, b.fn_evals)
+            assert np.linalg.norm(a.x - b.x) <= 1e-12 * np.linalg.norm(b.x)
+
     def test_same_seed_reproduces(self, fig1):
         a = run_incremental_central(
             fig1, (1.0, 0.5), StepSchedule.harmonic(0.5), seed=3, max_iter=40
@@ -248,10 +268,26 @@ class TestIncrementalArmijo:
 
     def test_line_search_can_exhaust_near_a_minimizer(self):
         # this run drives the iterate onto one objective's exact minimizer,
-        # where the required decrease underflows against float noise
+        # where the required decrease underflows against float noise; the
+        # stalled search ends the run by name and keeps the records so far
         fam = make_random_quadratic_family(2, 3, seed=72)
-        with pytest.raises(RuntimeError):
-            run_incremental_central_armijo(fam, 0.8 * np.ones(3), beta=0.5)
+        recs = run_incremental_central_armijo(fam, 0.8 * np.ones(3), beta=0.5)
+        assert [r.stop_reason for r in recs] == [None] * 35 + ["LineSearchStall"]
+        term = recs[-1]
+        assert (term.k, term.alpha, term.grad_evals) == (36, 0.0, 72)
+        # baseline + all 61 failed trials after the last completed step
+        assert term.fn_evals == recs[-2].fn_evals + 1 + 61
+        assert term.dir_norm >= 1.0
+
+    def test_tiny_gradients_are_not_null(self):
+        # objective 0's gradient norms underflow to 0; its rows are not zero
+        recs = run_incremental_central_armijo(
+            problem_from_name("figure1-scaled:1e-300,1"),
+            (1.5, 1.0),
+            slate_init="warm-start",
+        )
+        assert len(recs) == 9
+        assert recs[-1].stop_reason == "Infeasible"
 
     def test_unordered_probe_values_fail_by_name(self, fig1):
         # a NaN probe value cannot be ordered against the accepted one
@@ -263,6 +299,52 @@ class TestIncrementalArmijo:
         )
         with pytest.raises(RuntimeError, match="bookkeeping"):
             run_incremental_central_armijo(broken, (1.5, 1.0), max_iter=5)
+
+
+class TestWarmStartedQP:
+    """Both incremental solvers warm-start the central QP from the previous
+    support; wrapping ``central_direction`` to drop ``start`` gives the cold
+    reference run."""
+
+    @staticmethod
+    def run(monkeypatch, algo, warm):
+        counts = {"affine": 0, "central": 0}
+        affine, central = directions._affine_minimizer, solvers.central_direction
+
+        def counted_affine(sub):
+            counts["affine"] += 1
+            return affine(sub)
+
+        def counted_central(*args, start=(), **kwargs):
+            counts["central"] += 1
+            return central(*args, start=start if warm else (), **kwargs)
+
+        monkeypatch.setattr(directions, "_affine_minimizer", counted_affine)
+        monkeypatch.setattr(solvers, "central_direction", counted_central)
+        problem = problem_from_name("random-quadratic:10,20,0")
+        x0 = np.zeros(problem.dimension)
+        if algo == "icd-armijo":
+            recs = run_incremental_central_armijo(problem, x0, max_iter=500)
+        else:
+            recs = run_incremental_central(
+                problem, x0, StepSchedule.harmonic(), max_iter=500
+            )
+        monkeypatch.undo()
+        return recs, counts["affine"] / counts["central"]
+
+    @pytest.mark.parametrize("algo", ["icd-armijo", "icd"])
+    def test_warm_run_matches_the_cold_reference(self, monkeypatch, algo):
+        warm, warm_solves = self.run(monkeypatch, algo, warm=True)
+        cold, cold_solves = self.run(monkeypatch, algo, warm=False)
+        assert len(warm) == len(cold)
+        assert warm[-1].stop_reason == cold[-1].stop_reason
+        for a, b in zip(warm, cold):
+            assert (a.k, a.stop_reason) == (b.k, b.stop_reason)
+            assert (a.grad_evals, a.fn_evals) == (b.grad_evals, b.fn_evals)
+            assert np.linalg.norm(a.x - b.x) <= 1e-10 * np.linalg.norm(b.x)
+        # the previous support leaves about one affine solve per QP
+        assert warm_solves <= 2.0
+        assert cold_solves >= 8.0
 
 
 class TestArmijoBacktrack:
