@@ -56,6 +56,7 @@ from .problems import (
     make_unbounded_linear_problem,
     problem_from_name,
     validate_problem,
+    values_and_gradients,
 )
 from .solvers import (
     BRANCH_BLOWUP,
@@ -130,6 +131,7 @@ __all__ = [
     "steepest_direction",
     "trace_streamline",
     "validate_problem",
+    "values_and_gradients",
     "write_streamlines_csv",
     "write_trace_csv",
 ]

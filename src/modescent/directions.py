@@ -267,24 +267,45 @@ def _row_peaks(vectors: Array) -> Array:
     return peaks
 
 
+def _scaled_row_norms(vectors: Array) -> Tuple[Array, Array, Array]:
+    """Rows scaled by powers of two to a largest entry in [0.5, 1).
+
+    Returns (scaled, norms, exps) with vectors[i] = 2**exps[i] * scaled[i]
+    exactly and norms[i] = ||scaled[i]||, which neither overflows nor
+    underflows. A null row stays zero with exponent 0. Raises ValueError on
+    a non-finite entry.
+    """
+    _, exps = np.frexp(_row_peaks(vectors))
+    scaled = np.ldexp(vectors, -exps[:, None])
+    return scaled, np.linalg.norm(scaled, axis=1), exps
+
+
+def row_norms(vectors: Union[Array, Sequence]) -> Array:
+    """Euclidean norm of each row, taken after the power-of-two prescale.
+
+    Exact to rounding wherever the norm itself is representable, so tiny
+    (1e-300) and huge (1e300) rows keep their size instead of reading 0 or
+    inf; exactly 0 only for an all-zero row. Raises ValueError on a
+    non-finite entry.
+    """
+    _, norms, exps = _scaled_row_norms(_slate_vectors(vectors))
+    return np.ldexp(norms, exps)
+
+
 def _prescaled_rows(
     slate: Union[GradientSlate, Array, Sequence]
 ) -> Tuple[Array, Array, Array]:
     """Each row scaled by a power of two to a largest entry in [0.5, 1).
 
-    Returns (scaled, norms, exps) with vectors[i] = 2**exps[i] * scaled[i]
-    exactly and norms[i] = ||scaled[i]||, which neither overflows nor
-    underflows, so scaled / norms gives the unit rows of any finite slate.
-    A row is null only when it is exactly zero. Raises ValueError on a null
-    row or a non-finite entry.
+    Returns (scaled, norms, exps) as :func:`_scaled_row_norms` does, so
+    scaled / norms gives the unit rows of any finite slate. A row is null
+    only when it is exactly zero. Raises ValueError on a null row or a
+    non-finite entry.
     """
-    vectors = _slate_vectors(slate)
-    peaks = _row_peaks(vectors)
-    if np.any(peaks == 0.0):
+    scaled, norms, exps = _scaled_row_norms(_slate_vectors(slate))
+    if not norms.all():
         raise ValueError("null gradient row; criticality must be handled upstream")
-    _, exps = np.frexp(peaks)
-    scaled = np.ldexp(vectors, -exps[:, None])
-    return scaled, np.linalg.norm(scaled, axis=1), exps
+    return scaled, norms, exps
 
 
 def central_direction(

@@ -26,6 +26,7 @@ from .directions import (
     INFEASIBLE,
     _prescaled_rows,
     central_direction,
+    row_norms,
     steepest_direction,
 )
 from .problems import MultiObjectiveProblem, QueryLedger, gradient_all
@@ -57,8 +58,7 @@ def proximity_at(
     if ledger is None:
         ledger = QueryLedger.for_objectives(problem.num_objectives)
     grads = gradient_all(problem, x, ledger)
-    norms = np.linalg.norm(grads, axis=1)
-    min_grad = float(norms.min())
+    min_grad = float(row_norms(grads).min())
     _, value = steepest_direction(grads)
     if min_grad == 0.0:
         return ProximityReport(0.0, float("inf"), value, 0.0)

@@ -469,3 +469,48 @@ class TestGradientSlate:
         slate = GradientSlate.from_gradients(raw)
         raw[0, 0] = 99.0
         assert slate.vectors[0, 0] == 1.0
+
+
+class TestRowNorms:
+    def test_matches_the_raw_norm_in_the_normal_range(self, rng):
+        for _ in range(50):
+            rows = random_slate(rng, 5, 7) * np.exp(rng.uniform(-20, 20, (5, 1)))
+            assert np.array_equal(
+                directions.row_norms(rows), np.linalg.norm(rows, axis=1)
+            )
+
+    def test_tiny_and_huge_rows_keep_their_size(self):
+        norms = directions.row_norms(
+            np.array([[3e-300, 4e-300], [3e300, 4e300], [0.0, 5e-320]])
+        )
+        assert norms[:2] == pytest.approx([5e-300, 5e300], rel=1e-15)
+        assert norms[2] == 5e-320  # subnormal entries, exact
+        # the raw norm underflows and overflows on the same rows
+        with np.errstate(over="ignore"):
+            raw = np.linalg.norm(np.array([[3e-300, 4e-300], [3e300, 4e300]]), axis=1)
+        assert raw.tolist() == [0.0, math.inf]
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        rows = random_slate(rng, 4, 3)
+        base = directions.row_norms(rows)
+        for k in (-1000, -1, 1, 1000):
+            assert np.array_equal(
+                directions.row_norms(np.ldexp(rows, k)), np.ldexp(base, k)
+            )
+
+    def test_zero_row_is_exactly_zero(self):
+        norms = directions.row_norms(np.array([[0.0, 0.0], [0.0, -0.0], [1e-310, 0.0]]))
+        assert norms.tolist() == [0.0, 0.0, 1e-310]
+
+    def test_non_finite_rows_raise(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                directions.row_norms(np.array([[1.0, bad], [1.0, 0.0]]))
+
+    def test_prescaled_rows_shares_the_norms(self, rng):
+        rows = random_slate(rng, 3, 4)
+        scaled, norms, exps = directions._prescaled_rows(rows)
+        assert np.array_equal(np.ldexp(scaled, exps[:, None]), rows)
+        assert np.array_equal(np.ldexp(norms, exps), directions.row_norms(rows))
+        with pytest.raises(ValueError, match="null gradient row"):
+            directions._prescaled_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))

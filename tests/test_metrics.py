@@ -12,6 +12,7 @@ from modescent import (
     interior_perturbation_margin,
     make_figure1_problem,
     perturbation_margin,
+    make_scaled_variant,
     proximity_at,
     rate_bound,
     rate_bound_margins,
@@ -74,6 +75,16 @@ class TestProximity:
         assert int(np.argmax(series)) == len(series) - 1
         # monotone blow-up near the singularity
         assert np.all(np.diff(series[-60:]) > 0)
+
+    def test_tiny_gradients_keep_their_norm(self, fig1):
+        # the raw norm of 1e-300 * grad f1 underflows to 0; the report must
+        # not call the point critical
+        tiny = make_scaled_variant(fig1, [1e-300, 1.0])
+        rep = proximity_at(tiny, np.zeros(2))
+        ref = proximity_at(fig1, np.zeros(2))
+        assert rep.min_grad_norm == pytest.approx(4e-300, rel=1e-15)
+        assert rep.central_norm == pytest.approx(ref.central_norm, rel=1e-12)
+        assert rep.ratio == pytest.approx(4e-300 / SQRT2, rel=1e-12)
 
 
 class TestRateBound:

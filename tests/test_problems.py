@@ -1,5 +1,7 @@
 """Problem factories, query accounting, and the validation harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from modescent import (
     make_unbounded_linear_problem,
     problem_from_name,
     validate_problem,
+    values_and_gradients,
 )
 
 
@@ -303,3 +306,154 @@ class TestProblemFromName:
     def test_rejects_malformed_names(self, name):
         with pytest.raises(ValueError):
             problem_from_name(name)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def per_objective(problem, x):
+    """The reference: every objective and gradient through its own callable."""
+    ledger = QueryLedger.for_objectives(problem.num_objectives)
+    return evaluate_all(problem, x, ledger), gradient_all(problem, x, ledger)
+
+
+def extreme_scaled(name):
+    """A shipped problem scaled by alternating 1e-300 and 1e300 factors."""
+    base = problem_from_name(name)
+    kappas = [1e-300 if i % 2 == 0 else 1e300 for i in range(base.num_objectives)]
+    return make_scaled_variant(base, kappas)
+
+
+STACKED_PROBLEMS = [
+    problem_from_name(name)
+    for name in (
+        "figure1",
+        "figure1-scaled:1e-300,1e300",
+        "figure1-scaled:1e300,1e-300",
+        "random-quadratic:10,20,0",
+        "random-quadratic:3,2,5",
+        "random-quadratic:1,1,9",
+        "linear-decline:4,3,2",
+        "linear-decline:10,20,1",
+    )
+] + [extreme_scaled("random-quadratic:10,20,0"), extreme_scaled("linear-decline:4,3,2")]
+
+
+class TestValuesAndGradients:
+    @pytest.mark.parametrize("problem", STACKED_PROBLEMS, ids=lambda p: p.name)
+    def test_stacked_equals_the_per_objective_reference(self, problem):
+        assert problem.stacked is not None
+        rng = np.random.default_rng(314)
+        for _ in range(200):
+            x = rng.normal(size=problem.dimension) * 10.0 ** rng.uniform(-3, 3)
+            ledger = QueryLedger.for_objectives(problem.num_objectives)
+            values, grads = values_and_gradients(problem, x, ledger)
+            ref_values, ref_grads = per_objective(problem, x)
+            assert same_bits(values, ref_values)
+            assert same_bits(grads, ref_grads)
+
+    def test_scaled_variant_of_an_unstacked_problem_loops(self):
+        loop_only = dataclasses.replace(make_figure1_problem(), stacked=None)
+        assert make_scaled_variant(loop_only, [2.0, 3.0]).stacked is None
+
+    def test_problem_without_stacked_takes_the_loop(self):
+        calls = []
+
+        def f(i):
+            return lambda x: calls.append(("f", i)) or float(i * x[0])
+
+        def g(i):
+            return lambda x: calls.append(("g", i)) or np.array([float(i), 0.0])
+
+        problem = MultiObjectiveProblem(
+            dimension=2,
+            objectives=(f(1), f(2), f(3)),
+            gradient_fns=(g(1), g(2), g(3)),
+            name="hand-built",
+        )
+        assert problem.stacked is None
+        ledger = QueryLedger.for_objectives(3)
+        values, grads = values_and_gradients(problem, np.array([2.0, 5.0]), ledger)
+        assert sorted(calls) == [("f", 1), ("f", 2), ("f", 3), ("g", 1), ("g", 2), ("g", 3)]
+        assert values.tolist() == [2.0, 4.0, 6.0]
+        assert grads.tolist() == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+
+    def test_ticks_one_query_per_objective(self):
+        problem = problem_from_name("random-quadratic:10,20,0")
+        ledger = QueryLedger.for_objectives(10)
+        evaluate(problem, 3, np.zeros(20), ledger)
+        values_and_gradients(problem, np.ones(20), ledger)
+        assert ledger.function_counts.tolist() == [1, 1, 1, 2, 1, 1, 1, 1, 1, 1]
+        assert ledger.gradient_counts.tolist() == [1] * 10
+        assert (ledger.function_evals, ledger.gradient_evals) == (11, 10)
+
+    @pytest.mark.parametrize(
+        "output",
+        [
+            (np.zeros(3), np.zeros((2, 2))),  # one value too many
+            (np.zeros(2), np.zeros((2, 3))),  # gradients of the wrong length
+            (np.zeros(2), np.zeros(4)),  # gradients not stacked
+            (np.float64(0.0), np.zeros((2, 2))),  # a scalar value
+        ],
+    )
+    def test_stacked_output_of_the_wrong_shape_raises(self, fig1, output):
+        bad = dataclasses.replace(fig1, stacked=lambda x: output, name="bad")
+        with pytest.raises(ValueError, match="'bad' returned values of shape"):
+            values_and_gradients(bad, np.zeros(2), QueryLedger.for_objectives(2))
+
+    def test_loop_output_of_the_wrong_shape_raises(self, fig1):
+        bad = dataclasses.replace(
+            fig1,
+            gradient_fns=(fig1.gradient_fns[0], lambda x: np.zeros(3)),
+            stacked=None,
+        )
+        with pytest.raises(ValueError):
+            values_and_gradients(bad, np.zeros(2), QueryLedger.for_objectives(2))
+        short = dataclasses.replace(
+            fig1,
+            gradient_fns=(lambda x: np.zeros(1), lambda x: np.zeros(1)),
+            stacked=None,
+        )
+        with pytest.raises(ValueError, match="shape"):
+            values_and_gradients(short, np.zeros(2), QueryLedger.for_objectives(2))
+
+    @pytest.mark.parametrize(
+        "x", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0], [[0.0, 0.0]]]
+    )
+    def test_bad_points_raise_before_counting(self, fig1, x):
+        ledger = QueryLedger.for_objectives(2)
+        with pytest.raises(ValueError, match="point"):
+            values_and_gradients(fig1, np.array(x), ledger)
+        assert (ledger.function_evals, ledger.gradient_evals) == (0, 0)
+
+    def test_stacked_equals_loop_over_wide_magnitudes(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coordinate = st.floats(
+            min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(
+            st.sampled_from(STACKED_PROBLEMS).flatmap(
+                lambda p: st.tuples(
+                    st.just(p),
+                    st.lists(coordinate, min_size=p.dimension, max_size=p.dimension),
+                )
+            )
+        )
+        def check(case):
+            problem, coords = case
+            x = np.array(coords)
+            ledger = QueryLedger.for_objectives(problem.num_objectives)
+            loop = dataclasses.replace(problem, stacked=None)
+            # 1e300 factors overflow to inf on both paths alike
+            with np.errstate(over="ignore"):
+                values, grads = values_and_gradients(problem, x, ledger)
+                ref_values, ref_grads = values_and_gradients(loop, x, ledger)
+            assert same_bits(values, ref_values)
+            assert same_bits(grads, ref_grads)
+
+        check()

@@ -1,6 +1,7 @@
 """Descent loops: schedules, records, both incremental variants, baselines."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from modescent import (
     write_trace_csv,
 )
 from modescent import directions, solvers
-from modescent.problems import gradient, problem_from_name
+from modescent.problems import evaluate, gradient, problem_from_name
 
 
 def completed(records):
@@ -602,3 +603,71 @@ class TestTraceCsv:
     def test_empty_run_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_trace_csv([], str(tmp_path / "x.csv"))
+
+
+def per_query_diagnostics(problem, x):
+    """The per-objective reference for a record's diagnostics: m single
+    value queries and m single gradient queries, raw norms."""
+    ledger = QueryLedger.for_objectives(problem.num_objectives)
+    m = problem.num_objectives
+    values = np.array([evaluate(problem, i, x, ledger) for i in range(m)])
+    norms = [np.linalg.norm(gradient(problem, i, x, ledger)) for i in range(m)]
+    return values, float(min(norms))
+
+
+class TestStackedDiagnostics:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_armijo_records_match_the_per_query_diagnostics(self, seed):
+        problem = problem_from_name(f"random-quadratic:10,20,{seed}")
+        x0 = np.zeros(problem.dimension)
+        recs = run_incremental_central_armijo(problem, x0, max_iter=150)
+        loop = dataclasses.replace(problem, stacked=None)
+        loop_recs = run_incremental_central_armijo(loop, x0, max_iter=150)
+        bare = run_incremental_central_armijo(
+            problem, x0, max_iter=150, diagnostics=False
+        )
+        assert len(recs) == len(loop_recs) == len(bare)
+        for r, q, b in zip(recs, loop_recs, bare):
+            values, min_grad = per_query_diagnostics(problem, r.x)
+            assert np.array_equal(r.objective_values, values)
+            assert abs(r.min_grad_norm - min_grad) <= 1e-15 * min_grad
+            # the stacked path changes neither the run nor its accounting
+            assert np.array_equal(r.x, q.x) and np.array_equal(r.x, b.x)
+            assert np.array_equal(r.objective_values, q.objective_values)
+            assert r.min_grad_norm == q.min_grad_norm
+            assert r.stop_reason == q.stop_reason == b.stop_reason
+            assert (r.grad_evals, r.fn_evals) == (q.grad_evals, q.fn_evals)
+            assert (r.grad_evals, r.fn_evals) == (b.grad_evals, b.fn_evals)
+
+    def test_tiny_gradients_keep_their_norm(self):
+        # objective 0 is scaled by 1e-300: its gradient norm is about 1e-300,
+        # representable, and must not read as 0
+        kw = dict(slate_init="warm-start")
+        fig1 = problem_from_name("figure1")
+        ref = run_incremental_central(fig1, (1.5, 1.0), StepSchedule.harmonic(), **kw)
+        tiny = run_incremental_central(
+            problem_from_name("figure1-scaled:1e-300,1"),
+            (1.5, 1.0),
+            StepSchedule.harmonic(),
+            **kw,
+        )
+        assert len(tiny) == len(ref) == 83
+        ledger = QueryLedger.for_objectives(2)
+        for a, b in zip(tiny, ref):
+            g0, g1 = (gradient(fig1, i, b.x, ledger) for i in range(2))
+            expected = min(1e-300 * np.linalg.norm(g0), np.linalg.norm(g1))
+            assert a.min_grad_norm > 0.0
+            assert abs(a.min_grad_norm - expected) <= 1e-12 * expected
+            if a.stop_reason is None:
+                assert a.ratio_metric > 0.0
+
+    def test_full_steepest_terminal_record_uses_the_diagnostics(self):
+        problem = problem_from_name("random-quadratic:3,3,61")
+        recs = run_full_steepest(problem, np.ones(3), max_iter=5)
+        term = recs[-1]
+        values, min_grad = per_query_diagnostics(problem, term.x)
+        assert term.stop_reason == "MaxIter"
+        assert np.array_equal(term.objective_values, values)
+        assert abs(term.min_grad_norm - min_grad) <= 1e-15 * min_grad
+        assert term.grad_evals == 3 * 5
+
