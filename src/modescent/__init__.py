@@ -17,7 +17,6 @@ from .directions import (
     GradientSlate,
     central_direction,
     descent_margin,
-    is_scale_invariant_check,
     steepest_direction,
 )
 from .fields import FieldGrid, sample_field, trace_streamline, write_streamlines_csv
@@ -109,7 +108,6 @@ __all__ = [
     "gradient_all",
     "hull_contains_origin_2d",
     "interior_perturbation_margin",
-    "is_scale_invariant_check",
     "make_figure1_problem",
     "make_random_quadratic_family",
     "make_scaled_variant",

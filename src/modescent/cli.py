@@ -53,6 +53,7 @@ from .problems import (
     problem_from_name,
 )
 from .solvers import (
+    STOP_MAX_ITER,
     StepSchedule,
     classify_run,
     run_full_steepest,
@@ -390,14 +391,8 @@ def _check(name: str, margin: float) -> dict:
 
 def _started_iterations(records) -> int:
     """Iterations that began (and queried gradients), incl. a stopped one."""
-    from .solvers import STOP_MAX_ITER
-
     last = records[-1]
     return last.k - 1 if last.stop_reason == STOP_MAX_ITER else last.k
-
-
-def _random_slate(rng, m: int, n: int) -> np.ndarray:
-    return rng.normal(size=(m, n))
 
 
 def _suite_kkt(seed: int) -> List[dict]:
@@ -415,7 +410,7 @@ def _suite_kkt(seed: int) -> List[dict]:
     max_residual = 0.0
     max_identity_err = 0.0
     for _ in range(12):
-        grads = _random_slate(rng, 4, 3)
+        grads = rng.normal(size=(4, 3))
         out = central_direction(grads)
         if out.kind != DIRECTION:
             continue
@@ -427,7 +422,7 @@ def _suite_kkt(seed: int) -> List[dict]:
 
     mismatches = 0
     for _ in range(40):
-        grads = _random_slate(rng, 3, 2)
+        grads = rng.normal(size=(3, 2))
         hull = hull_contains_origin_2d(grads / np.linalg.norm(grads, axis=1, keepdims=True))
         kind = central_direction(grads).kind
         if hull != (kind == INFEASIBLE):
@@ -439,7 +434,7 @@ def _suite_kkt(seed: int) -> List[dict]:
     # warm-started from the previous support must match the cold one (same
     # verdict, V within 1e-12 ||V|| max(1, ||V||))
     offset = 2.0 * rng.normal(size=4)
-    grads = _random_slate(rng, 5, 4) + offset
+    grads = rng.normal(size=(5, 4)) + offset
     flips = 0
     worst = 0.0
     start: tuple = ()
@@ -465,7 +460,7 @@ def _suite_geometry(seed: int) -> List[dict]:
     checks.append(_check("orthonormal-gap", 1e-9 - abs(z + 1.0 / math.sqrt(2.0))))
 
     rng = np.random.default_rng(seed)
-    grads = _random_slate(rng, 3, 2)
+    grads = rng.normal(size=(3, 2))
     z1, z2 = alignment_gap(grads, 1.0), alignment_gap(grads, 2.0)
     checks.append(_check("gap-homogeneity", 1e-9 - abs(z2 - 2.0 * z1)))
 
@@ -494,7 +489,7 @@ def _suite_invariance(seed: int) -> List[dict]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(16):
-        grads = _random_slate(rng, 3, 3)
+        grads = rng.normal(size=(3, 3))
         out = central_direction(grads)
         if out.kind != DIRECTION:
             continue

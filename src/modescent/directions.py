@@ -92,10 +92,6 @@ class GradientSlate:
         self.refreshed[i] = True
 
     @property
-    def norms(self) -> Array:
-        return np.linalg.norm(self.vectors, axis=1)
-
-    @property
     def all_nonnull(self) -> bool:
         """No row is exactly zero (a norm can underflow; a row cannot)."""
         return bool(np.all(np.any(self.vectors, axis=1)))
@@ -413,30 +409,3 @@ def descent_margin(gradients: Union[Array, Sequence], u: Array) -> float:
     scaled, norms, _ = _prescaled_rows(gradients)
     unit = scaled / norms[:, None]
     return -float((unit @ np.asarray(u, dtype=float)).max())
-
-
-def is_scale_invariant_check(
-    slate: Union[GradientSlate, Array, Sequence],
-    kappas: Sequence[float],
-    tol: float = 1e-9,
-) -> bool:
-    """True when per-objective rescaling by kappas leaves the output unchanged.
-
-    Helper for invariance tests: compares the central direction of the slate
-    with the central direction of the row-scaled slate at tolerance ``tol``
-    (verdicts must match; vectors must agree to tol relative to their size).
-    """
-    vectors = _slate_vectors(slate)
-    kappas = np.asarray(kappas, dtype=float)
-    if kappas.shape != (vectors.shape[0],):
-        raise ValueError("one positive factor per slate entry")
-    if np.any(kappas <= 0.0):
-        raise ValueError("scale factors must be positive")
-    base = central_direction(vectors)
-    scaled = central_direction(vectors * kappas[:, None])
-    if base.kind != scaled.kind:
-        return False
-    if base.kind != DIRECTION:
-        return True
-    diff = float(np.linalg.norm(base.vector - scaled.vector))
-    return diff <= tol * max(1.0, base.norm)

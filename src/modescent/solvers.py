@@ -13,29 +13,33 @@ Three baselines provide comparison points at higher query cost: full-slate
 steepest descent (m gradients per iteration), weighted-sum scalarization and
 an incremental aggregated-gradient loop.
 
-Every run returns a list of :class:`IterationRecord`; one record per started
-iteration, where the last record carries the stop reason and the final
-iterate. Gradient and function queries are counted exactly in the run's
-ledger. Per-record diagnostics (objective values, smallest gradient norm)
-come from one :func:`~modescent.problems.values_and_gradients` call per
-record on a separate throwaway ledger, so they never distort the
-accounting and cost one stacked evaluation rather than 2m single queries;
-the gradient norms are taken after a power-of-two prescale, so tiny
-gradients do not read as 0.
+All five run on one loop that records every method the same way; each
+supplies only its step rule, which makes one iteration's queries and
+returns the step or a stop reason. Every run returns a list of
+:class:`IterationRecord`; one record per started iteration, where the last
+record carries the stop reason and the final iterate. Gradient and function
+queries are counted exactly in the run's ledger. Per-record diagnostics
+(objective values, smallest gradient norm) come from one
+:func:`~modescent.problems.values_and_gradients` call per record on a
+separate throwaway ledger, so they never distort the accounting and cost
+one stacked evaluation rather than 2m single queries; the gradient norms
+are taken after a power-of-two prescale, so tiny gradients do not read as
+zero. The three line searches share one backtracking loop, and both
+incremental methods one slate refresh and central solve.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .directions import (
-    DIRECTION,
     INFEASIBLE,
     GradientSlate,
     central_direction,
@@ -157,20 +161,120 @@ def _ratio(min_grad: float, dir_norm: float) -> float:
     return min_grad / dir_norm
 
 
-def _make_slate(
+class _Step(NamedTuple):
+    """A completed iteration: step length, direction norm, next iterate.
+    ``values``/``min_grad`` replace the diagnostics when the step rule has
+    queried them at the pre-step point on the run ledger anyway."""
+
+    alpha: float
+    dir_norm: float
+    x_next: Array
+    step_floor: Optional[float] = None
+    values: Optional[Array] = None
+    min_grad: float = float("nan")
+
+
+def _run(
     problem: MultiObjectiveProblem,
     x: Array,
-    slate_init: str,
-    seed: int,
     ledger: QueryLedger,
-) -> GradientSlate:
+    step: Callable[[int, Array], Union[_Step, Tuple[str, float]]],
+    max_iter: int,
+    diagnostics: bool = True,
+    ratio: bool = True,
+) -> List[IterationRecord]:
+    """The loop every solver shares; ``step`` is the method's step rule.
+
+    ``step(k, x)`` makes iteration k's queries at x and returns a
+    :class:`_Step`, or a (stop reason, direction norm) pair that ends the
+    run. Each started iteration gets one record of its pre-step x, with the
+    diagnostics taken there and the ledger read after the iteration's
+    queries; past ``max_iter`` iterations the run ends with a MaxIter
+    record. With ``ratio`` False (the baselines) ``ratio_metric`` is NaN.
+    """
+    records: List[IterationRecord] = []
+    for k in itertools.count(1):
+        out = step(k, x) if k <= max_iter else (STOP_MAX_ITER, float("nan"))
+        done = not isinstance(out, _Step)
+        reason, dir_norm = out if done else (None, out.dir_norm)
+        if done or out.values is None:
+            values, min_grad = _diagnostics(problem, x, diagnostics)
+        else:
+            values, min_grad = out.values, out.min_grad
+        records.append(
+            IterationRecord(
+                k=k,
+                x=x.copy(),
+                alpha=0.0 if done else out.alpha,
+                dir_norm=dir_norm,
+                objective_values=values,
+                min_grad_norm=min_grad,
+                ratio_metric=_ratio(min_grad, dir_norm) if ratio else float("nan"),
+                grad_evals=ledger.gradient_evals,
+                fn_evals=ledger.function_evals,
+                stop_reason=reason,
+                step_floor=None if done else out.step_floor,
+            )
+        )
+        if done:
+            return records
+        x = out.x_next
+
+
+def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
+    """Fill the slate at x; return ``refresh(k, x, rows)``, which starts both
+    incremental step rules. It queries the gradients of ``rows`` into the
+    slate and solves the central QP from the previous solve's active set.
+    It returns (gradients, outcome), or the stop pair: NullGradient for a
+    null slate row at k = 1 (before any query) or a zero refreshed
+    gradient, Infeasible for a QP with no feasible direction within
+    ``norm_cap`` (both certify criticality).
+    """
     m, n = problem.num_objectives, problem.dimension
     if slate_init == "random-unit":
-        return GradientSlate.random_unit(m, n, seed)
-    if slate_init == "warm-start":
+        slate = GradientSlate.random_unit(m, n, seed)
+    elif slate_init == "warm-start":
         rows = [gradient(problem, i, x, ledger) for i in range(m)]
-        return GradientSlate.from_gradients(np.vstack(rows))
-    raise ValueError(f"unknown slate_init {slate_init!r}")
+        slate = GradientSlate.from_gradients(np.vstack(rows))
+    else:
+        raise ValueError(f"unknown slate_init {slate_init!r}")
+    active: tuple = ()
+
+    def refresh(k: int, x: Array, rows: Sequence[int]):
+        nonlocal active
+        if k == 1 and not slate.all_nonnull:
+            return STOP_NULL_GRADIENT, float("nan")
+        grads = [gradient(problem, i, x, ledger) for i in rows]
+        if not all(g.any() for g in grads):
+            return STOP_NULL_GRADIENT, float("nan")
+        for i, g in zip(rows, grads):
+            slate.update(i, g)
+        outcome = central_direction(
+            slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
+        )
+        # "no feasible direction within the norm cap" is the emptiness
+        # certificate: a capped-but-feasible QP stops the run the same way.
+        if outcome.kind == INFEASIBLE:
+            return STOP_INFEASIBLE, float("inf")
+        if outcome.norm_capped:
+            return STOP_INFEASIBLE, outcome.norm
+        active = outcome.active_set
+        return grads, outcome
+
+    return refresh
+
+
+def _backtrack(
+    decrease: Callable[[float], float], slope: float, beta: float, max_halvings: int
+) -> Optional[float]:
+    """Largest alpha in {1, 1/2, ..., 2**-max_halvings} with
+    decrease(alpha) <= beta * alpha * slope, or None when there is none."""
+    alpha = 1.0
+    for _ in range(max_halvings + 1):
+        if decrease(alpha) <= beta * alpha * slope:
+            return alpha
+        alpha *= 0.5
+    return None
 
 
 def armijo_backtrack(
@@ -202,7 +306,7 @@ def armijo_backtrack(
 
 
 def _armijo_details(problem, j, x, direction, g_j, beta, ledger, max_halvings):
-    """(alpha, f_base, f_accepted, trials) of the backtracking search, or
+    """(alpha, f_j at the accepted point) of the backtracking search, or
     None when no step within ``max_halvings`` halvings is acceptable."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -210,13 +314,14 @@ def _armijo_details(problem, j, x, direction, g_j, beta, ledger, max_halvings):
     if slope >= 0.0:
         raise ValueError("not a descent direction for objective j")
     f_base = evaluate(problem, j, x, ledger)
-    alpha = 1.0
-    for trials in range(1, max_halvings + 2):
-        f_trial = evaluate(problem, j, x + alpha * direction, ledger)
-        if f_trial - f_base <= beta * alpha * slope:
-            return alpha, f_base, f_trial, trials
-        alpha *= 0.5
-    return None
+    trials: List[float] = []
+
+    def decrease(alpha: float) -> float:
+        trials.append(evaluate(problem, j, x + alpha * direction, ledger))
+        return trials[-1] - f_base
+
+    alpha = _backtrack(decrease, slope, beta, max_halvings)
+    return None if alpha is None else (alpha, trials[-1])
 
 
 def run_incremental_central(
@@ -242,68 +347,22 @@ def run_incremental_central(
     ("warm-start" initialization adds m queries up front); no function
     queries at all.
     """
-    ledger = QueryLedger.for_objectives(problem.num_objectives)
-    x = np.array(x0, dtype=float)
     m = problem.num_objectives
-    records: List[IterationRecord] = []
-    slate = _make_slate(problem, x, slate_init, seed, ledger)
+    ledger = QueryLedger.for_objectives(m)
+    x = np.array(x0, dtype=float)
+    refresh = _central_stepper(
+        problem, x, ledger, slate_init, seed, qp_tol, norm_cap
+    )
 
-    def terminal(k: int, reason: str, dir_norm: float) -> IterationRecord:
-        values, min_grad = _diagnostics(problem, x, diagnostics)
-        return IterationRecord(
-            k=k,
-            x=x.copy(),
-            alpha=0.0,
-            dir_norm=dir_norm,
-            objective_values=values,
-            min_grad_norm=min_grad,
-            ratio_metric=_ratio(min_grad, dir_norm),
-            grad_evals=ledger.gradient_evals,
-            fn_evals=ledger.function_evals,
-            stop_reason=reason,
-        )
-
-    if not slate.all_nonnull:
-        records.append(terminal(1, STOP_NULL_GRADIENT, float("nan")))
-        return records
-    # each QP starts from the previous support: one or two rows change
-    active: tuple = ()
-
-    for k in range(1, max_iter + 1):
-        t = (k - 1) % m
-        g = gradient(problem, t, x, ledger)
-        if not g.any():
-            records.append(terminal(k, STOP_NULL_GRADIENT, float("nan")))
-            return records
-        slate.update(t, g)
-        outcome = central_direction(
-            slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
-        )
-        # "no feasible direction within the norm cap" is the emptiness
-        # certificate: a capped-but-feasible QP stops the run the same way.
-        if outcome.kind == INFEASIBLE or outcome.norm_capped:
-            dir_norm = float("inf") if outcome.kind == INFEASIBLE else outcome.norm
-            records.append(terminal(k, STOP_INFEASIBLE, dir_norm))
-            return records
-        active = outcome.active_set
+    def step(k: int, x: Array):
+        got = refresh(k, x, ((k - 1) % m,))
+        if isinstance(got[0], str):
+            return got
+        outcome = got[1]
         alpha = schedule.alpha(k)
-        values, min_grad = _diagnostics(problem, x, diagnostics)
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x.copy(),
-                alpha=alpha,
-                dir_norm=outcome.norm,
-                objective_values=values,
-                min_grad_norm=min_grad,
-                ratio_metric=_ratio(min_grad, outcome.norm),
-                grad_evals=ledger.gradient_evals,
-                fn_evals=ledger.function_evals,
-            )
-        )
-        x = x + alpha * (outcome.vector / outcome.norm)
-    records.append(terminal(max_iter + 1, STOP_MAX_ITER, float("nan")))
-    return records
+        return _Step(alpha, outcome.norm, x + alpha * (outcome.vector / outcome.norm))
+
+    return _run(problem, x, ledger, step, max_iter, diagnostics)
 
 
 class _CyclicChooser:
@@ -371,8 +430,12 @@ def run_incremental_central_armijo(
         raise ValueError(f"unknown t_policy {t_policy!r}")
     ledger = QueryLedger.for_objectives(m)
     x = np.array(x0, dtype=float)
-    records: List[IterationRecord] = []
-    slate = _make_slate(problem, x, slate_init, seed, ledger)
+    # The cap is load-bearing here: past it the guaranteed decrease per
+    # backtracking step drops under float rounding noise and the line
+    # search can no longer terminate reliably.
+    refresh = _central_stepper(
+        problem, x, ledger, slate_init, seed, qp_tol, norm_cap
+    )
     chooser = (
         _CyclicChooser(m, start=1)
         if t_policy == "cyclic"
@@ -380,64 +443,27 @@ def run_incremental_central_armijo(
     )
     j, t = 0, 1
 
-    def terminal(k: int, reason: str, dir_norm: float) -> IterationRecord:
-        values, min_grad = _diagnostics(problem, x, diagnostics)
-        return IterationRecord(
-            k=k,
-            x=x.copy(),
-            alpha=0.0,
-            dir_norm=dir_norm,
-            objective_values=values,
-            min_grad_norm=min_grad,
-            ratio_metric=_ratio(min_grad, dir_norm),
-            grad_evals=ledger.gradient_evals,
-            fn_evals=ledger.function_evals,
-            stop_reason=reason,
-        )
-
-    if not slate.all_nonnull:
-        records.append(terminal(1, STOP_NULL_GRADIENT, float("nan")))
-        return records
-    # each QP starts from the previous support: one or two rows change
-    active: tuple = ()
-
-    for k in range(1, max_iter + 1):
-        g_j = gradient(problem, j, x, ledger)
-        g_t = gradient(problem, t, x, ledger)
-        if not g_j.any() or not g_t.any():
-            records.append(terminal(k, STOP_NULL_GRADIENT, float("nan")))
-            return records
-        slate.update(j, g_j)
-        slate.update(t, g_t)
-        outcome = central_direction(
-            slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
-        )
-        # The cap is load-bearing here: past it the guaranteed decrease per
-        # backtracking step drops under float rounding noise and the line
-        # search can no longer terminate reliably.
-        if outcome.kind == INFEASIBLE or outcome.norm_capped:
-            dir_norm = float("inf") if outcome.kind == INFEASIBLE else outcome.norm
-            records.append(terminal(k, STOP_INFEASIBLE, dir_norm))
-            return records
-        active = outcome.active_set
+    def step(k: int, x: Array):
+        nonlocal j, t
+        got = refresh(k, x, (j, t))
+        if isinstance(got[0], str):
+            return got
+        (g_j, _), outcome = got
         unit = outcome.vector / outcome.norm
         details = _armijo_details(
             problem, j, x, unit, g_j, beta, ledger, max_halvings
         )
         if details is None:
-            records.append(terminal(k, STOP_LINE_SEARCH_STALL, outcome.norm))
-            return records
-        alpha, _, f_accepted, _ = details
+            return STOP_LINE_SEARCH_STALL, outcome.norm
+        alpha, f_accepted = details
         step_floor = None
         if problem.lipschitz is not None:
             l_j = problem.lipschitz[j]
             factor = 1.0 if l_j == 0.0 else min((1.0 - beta) / (2.0 * l_j), 1.0)
-            step_floor = factor * float(np.linalg.norm(g_j)) / outcome.norm
-        values, min_grad = _diagnostics(problem, x, diagnostics)
-        x_pre = x.copy()
-        x = x + alpha * unit
+            step_floor = factor * float(row_norms(g_j)[0]) / outcome.norm
+        x_next = x + alpha * unit
         t_next = chooser.next(j)
-        f_probe = evaluate(problem, t_next, x, ledger)
+        f_probe = evaluate(problem, t_next, x_next, ledger)
         if f_probe < f_accepted:
             j, t = t_next, j
             retained, other = f_probe, f_accepted
@@ -448,22 +474,9 @@ def run_incremental_central_armijo(
             raise RuntimeError(
                 f"swap bookkeeping lost monotonicity ({retained!r} > {other!r})"
             )
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x_pre,
-                alpha=alpha,
-                dir_norm=outcome.norm,
-                objective_values=values,
-                min_grad_norm=min_grad,
-                ratio_metric=_ratio(min_grad, outcome.norm),
-                grad_evals=ledger.gradient_evals,
-                fn_evals=ledger.function_evals,
-                step_floor=step_floor,
-            )
-        )
-    records.append(terminal(max_iter + 1, STOP_MAX_ITER, float("nan")))
-    return records
+        return _Step(alpha, outcome.norm, x_next, step_floor)
+
+    return _run(problem, x, ledger, step, max_iter, diagnostics)
 
 
 def run_full_steepest(
@@ -488,63 +501,30 @@ def run_full_steepest(
         raise ValueError("beta must lie strictly between 0 and 1")
     m = problem.num_objectives
     ledger = QueryLedger.for_objectives(m)
-    x = np.array(x0, dtype=float)
-    records: List[IterationRecord] = []
 
     def values_at(y: Array) -> Array:
         return np.array([evaluate(problem, i, y, ledger) for i in range(m)])
 
-    def terminal(k: int, reason: str) -> IterationRecord:
-        values, min_grad = _diagnostics(problem, x, True)
-        return IterationRecord(
-            k=k,
-            x=x.copy(),
-            alpha=0.0,
-            dir_norm=float("nan"),
-            objective_values=values,
-            min_grad_norm=min_grad,
-            ratio_metric=float("nan"),
-            grad_evals=ledger.gradient_evals,
-            fn_evals=ledger.function_evals,
-            stop_reason=reason,
-        )
-
-    for k in range(1, max_iter + 1):
+    def step(k: int, x: Array):
         grads = np.vstack([gradient(problem, i, x, ledger) for i in range(m)])
         v, _ = _steepest_direction(grads)
         vnorm = float(np.linalg.norm(v))
         if vnorm <= crit_tol:
-            records.append(terminal(k, STOP_NULL_GRADIENT))
-            return records
+            return STOP_NULL_GRADIENT, float("nan")
         slope = float((grads @ v).max())
         f_base = values_at(x)
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            f_trial = values_at(x + alpha * v)
-            if float((f_trial - f_base).max()) <= beta * alpha * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            records.append(terminal(k, STOP_LINE_SEARCH_STALL))
-            return records
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x.copy(),
-                alpha=alpha,
-                dir_norm=vnorm,
-                objective_values=f_base,
-                min_grad_norm=float(row_norms(grads).min()),
-                ratio_metric=float("nan"),
-                grad_evals=ledger.gradient_evals,
-                fn_evals=ledger.function_evals,
-            )
+        alpha = _backtrack(
+            lambda a: float((values_at(x + a * v) - f_base).max()),
+            slope, beta, max_halvings,
         )
-        x = x + alpha * v
-    records.append(terminal(max_iter + 1, STOP_MAX_ITER))
-    return records
+        if alpha is None:
+            return STOP_LINE_SEARCH_STALL, float("nan")
+        return _Step(
+            alpha, vnorm, x + alpha * v,
+            values=f_base, min_grad=float(row_norms(grads).min()),
+        )
+
+    return _run(problem, np.array(x0, dtype=float), ledger, step, max_iter, ratio=False)
 
 
 def _check_weights(pi: Sequence[float], m: int) -> Array:
@@ -578,64 +558,28 @@ def run_scalarized(
     m = problem.num_objectives
     pi = _check_weights(pi, m)
     ledger = QueryLedger.for_objectives(m)
-    x = np.array(x0, dtype=float)
-    records: List[IterationRecord] = []
 
     def weighted_value(y: Array) -> float:
         return float(
             sum(pi[i] * evaluate(problem, i, y, ledger) for i in range(m))
         )
 
-    def terminal(k: int, reason: str) -> IterationRecord:
-        values, min_grad = _diagnostics(problem, x, True)
-        return IterationRecord(
-            k=k,
-            x=x.copy(),
-            alpha=0.0,
-            dir_norm=float("nan"),
-            objective_values=values,
-            min_grad_norm=min_grad,
-            ratio_metric=float("nan"),
-            grad_evals=ledger.gradient_evals,
-            fn_evals=ledger.function_evals,
-            stop_reason=reason,
-        )
-
-    for k in range(1, max_iter + 1):
+    def step(k: int, x: Array):
         grads = np.vstack([gradient(problem, i, x, ledger) for i in range(m)])
         g = pi @ grads
         gnorm = float(np.linalg.norm(g))
         if gnorm <= crit_tol:
-            records.append(terminal(k, STOP_NULL_GRADIENT))
-            return records
+            return STOP_NULL_GRADIENT, float("nan")
         f_base = weighted_value(x)
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            if weighted_value(x - alpha * g) - f_base <= -beta * alpha * gnorm**2:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            records.append(terminal(k, STOP_LINE_SEARCH_STALL))
-            return records
-        values, min_grad = _diagnostics(problem, x, True)
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x.copy(),
-                alpha=alpha,
-                dir_norm=gnorm,
-                objective_values=values,
-                min_grad_norm=min_grad,
-                ratio_metric=float("nan"),
-                grad_evals=ledger.gradient_evals,
-                fn_evals=ledger.function_evals,
-            )
+        alpha = _backtrack(
+            lambda a: weighted_value(x - a * g) - f_base,
+            -gnorm**2, beta, max_halvings,
         )
-        x = x - alpha * g
-    records.append(terminal(max_iter + 1, STOP_MAX_ITER))
-    return records
+        if alpha is None:
+            return STOP_LINE_SEARCH_STALL, float("nan")
+        return _Step(alpha, gnorm, x - alpha * g)
+
+    return _run(problem, np.array(x0, dtype=float), ledger, step, max_iter, ratio=False)
 
 
 def run_incremental_aggregated(
@@ -659,45 +603,19 @@ def run_incremental_aggregated(
     if alpha <= 0.0 or window < 1:
         raise ValueError("need alpha > 0 and window >= 1")
     ledger = QueryLedger.for_objectives(m)
-    x = np.array(x0, dtype=float)
-    records: List[IterationRecord] = []
     history: deque = deque(maxlen=window)
-    for k in range(1, max_iter + 1):
+
+    def step(k: int, x: Array):
         idx = (k - 1) % m
         g = gradient(problem, idx, x, ledger)
         history.append(m * pi[idx] * g)
         aggregate = np.sum(history, axis=0) / window
-        values, min_grad = _diagnostics(problem, x, diagnostics)
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x.copy(),
-                alpha=alpha,
-                dir_norm=float(np.linalg.norm(aggregate)),
-                objective_values=values,
-                min_grad_norm=min_grad,
-                ratio_metric=float("nan"),
-                grad_evals=ledger.gradient_evals,
-                fn_evals=ledger.function_evals,
-            )
-        )
-        x = x - alpha * aggregate
-    values, min_grad = _diagnostics(problem, x, diagnostics)
-    records.append(
-        IterationRecord(
-            k=max_iter + 1,
-            x=x.copy(),
-            alpha=0.0,
-            dir_norm=float("nan"),
-            objective_values=values,
-            min_grad_norm=min_grad,
-            ratio_metric=float("nan"),
-            grad_evals=ledger.gradient_evals,
-            fn_evals=ledger.function_evals,
-            stop_reason=STOP_MAX_ITER,
-        )
+        return _Step(alpha, float(np.linalg.norm(aggregate)), x - alpha * aggregate)
+
+    return _run(
+        problem, np.array(x0, dtype=float), ledger, step, max_iter,
+        diagnostics, ratio=False,
     )
-    return records
 
 
 def classify_run(

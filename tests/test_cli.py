@@ -1,10 +1,14 @@
 """Command-line interface: solve, field, verify."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import modescent
 from modescent import cli
 
 
@@ -224,3 +228,35 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "bogus"])
         assert exc.value.code == 1
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps solver calls by module-global name; a run
+    loop that stops calling through those names would blank its per-layer
+    metrics without failing, so this run checks that the spans add up."""
+
+    def test_spans_match_the_ledger(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        restore = tracer.install(modescent)
+        try:
+            code, _, _ = run_cli(
+                capsys, "solve", "--algo", "icd-armijo",
+                "--problem", "random-quadratic:10,20,0", "--max-iter", "40",
+            )
+        finally:
+            restore()
+        assert code == 0
+        names = np.asarray(tracer.names)
+        (run,) = np.flatnonzero(names == "solvers.run")
+        records = tracer.payloads[run][0]
+        last = records[-1]
+        started = len(records) - (last.stop_reason == "MaxIter")
+        assert started == 40
+        assert np.count_nonzero(names == "directions.central") == started
+        inside = tracer.ancestors_named({"solvers.run"})
+        queries = np.count_nonzero(inside & (names == "problems.query"))
+        assert queries == last.grad_evals + last.fn_evals > 0

@@ -114,6 +114,50 @@ def fig_run():
     return run_incremental_central_armijo(fig, (0.5, 0.5), beta=0.5)
 
 
+def uniform_weights(problem):
+    return np.full(problem.num_objectives, 1.0 / problem.num_objectives)
+
+
+RUNNERS = {
+    "icd": lambda p, x0: run_incremental_central(
+        p, x0, StepSchedule.harmonic(), max_iter=80
+    ),
+    "icd-armijo": lambda p, x0: run_incremental_central_armijo(p, x0, max_iter=80),
+    "steepest": lambda p, x0: run_full_steepest(p, x0, max_iter=80),
+    "scalarized": lambda p, x0: run_scalarized(p, uniform_weights(p), x0, max_iter=80),
+    "iag": lambda p, x0: run_incremental_aggregated(
+        p, uniform_weights(p), x0, alpha=0.02, window=p.num_objectives, max_iter=80
+    ),
+}
+STOP_REASONS = {
+    solvers.STOP_NULL_GRADIENT,
+    solvers.STOP_INFEASIBLE,
+    solvers.STOP_MAX_ITER,
+    solvers.STOP_LINE_SEARCH_STALL,
+}
+
+
+@pytest.mark.parametrize("problem", ["figure1", "random-quadratic:3,4,7"])
+@pytest.mark.parametrize("algo", list(RUNNERS))
+def test_every_solver_obeys_the_record_contract(algo, problem):
+    prob = problem_from_name(problem)
+    recs = RUNNERS[algo](prob, np.full(prob.dimension, 1.5))
+    assert [r.k for r in recs] == list(range(1, len(recs) + 1))
+    *steps, term = recs
+    assert term.alpha == 0.0
+    assert term.stop_reason in STOP_REASONS
+    for r in steps:
+        assert r.alpha > 0.0
+        assert r.stop_reason is None
+    for prev, cur in zip(recs, recs[1:]):
+        assert cur.grad_evals >= prev.grad_evals
+        assert cur.fn_evals >= prev.fn_evals
+    if algo in ("steepest", "scalarized", "iag"):
+        assert all(math.isnan(r.ratio_metric) for r in recs)
+    else:
+        assert not any(math.isnan(r.ratio_metric) for r in steps)
+
+
 class TestIncrementalCentral:
     def test_warm_fixture(self, warm_run):
         steps = completed(warm_run)
@@ -289,6 +333,8 @@ class TestIncrementalArmijo:
         )
         assert len(recs) == 9
         assert recs[-1].stop_reason == "Infeasible"
+        # the step floor scales with ||g_j||, taken after the prescale
+        assert all(r.step_floor > 0.0 for r in completed(recs))
 
     def test_unordered_probe_values_fail_by_name(self, fig1):
         # a NaN probe value cannot be ordered against the accepted one
