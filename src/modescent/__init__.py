@@ -49,6 +49,7 @@ from .problems import (
     evaluate_all,
     gradient,
     gradient_all,
+    gradients_at,
     make_figure1_problem,
     make_random_quadratic_family,
     make_scaled_variant,
@@ -106,6 +107,7 @@ __all__ = [
     "finite_diff_gradient",
     "gradient",
     "gradient_all",
+    "gradients_at",
     "hull_contains_origin_2d",
     "interior_perturbation_margin",
     "make_figure1_problem",

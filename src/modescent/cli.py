@@ -25,7 +25,6 @@ import numpy as np
 from .directions import (
     DIRECTION,
     INFEASIBLE,
-    GradientSlate,
     central_direction,
     steepest_direction,
 )
@@ -35,7 +34,6 @@ from .metrics import (
     exterior_perturbation_margin,
     interior_perturbation_margin,
     perturbation_margin,
-    proximity_at,
     rate_bound,
     rate_bound_margins,
 )
@@ -47,7 +45,6 @@ from .oracle import (
 from .problems import (
     MultiObjectiveProblem,
     QueryLedger,
-    evaluate,
     gradient_all,
     make_figure1_problem,
     problem_from_name,
@@ -450,6 +447,28 @@ def _suite_kkt(seed: int) -> List[dict]:
         start = warm.active_set
     checks.append(
         _check("warm-start-agreement", -float(flips) if flips else 1e-12 - worst)
+    )
+
+    # two-row slates through the m = 2 closed form and the Wolfe reference,
+    # a third of them opposed up to a positive factor (infeasible) and a
+    # third nearly so: same verdict, V within 1e-14 ||V|| max(1, ||V||)
+    flips = 0
+    worst = 0.0
+    for case in range(60):
+        grads = rng.normal(size=(2, int(rng.integers(2, 6))))
+        if case % 3 == 0:
+            grads[1] = -rng.uniform(0.1, 10.0) * grads[0]
+        elif case % 3 == 1:
+            grads[1] = -grads[0] + 1e-3 * rng.normal(size=grads.shape[1])
+        closed = central_direction(grads)
+        wolfe = central_direction(grads, wolfe=True)
+        if closed.kind != wolfe.kind:
+            flips += 1
+        elif wolfe.kind == DIRECTION:
+            err = float(np.linalg.norm(closed.vector - wolfe.vector))
+            worst = max(worst, err / (wolfe.norm * max(1.0, wolfe.norm)))
+    checks.append(
+        _check("closed-form-agreement", -float(flips) if flips else 1e-14 - worst)
     )
     return checks
 

@@ -18,9 +18,16 @@ Two convex programs are solved here, both over a slate of m gradient
 
 Both duals ask for the minimum-norm point of a convex hull: of the
 normalized gradients for the central QP, of the raw gradients for the
-steepest one. One finite Wolfe corral iteration (:func:`_min_norm_point`)
-solves both, with no iteration budget to tune; it stops at an optimality
-gap of 1e-12 on the prescaled points. The central QP can start that
+steepest one, and one kernel (:func:`_min_norm_point`) serves both. For
+m = 2 the hull is a segment and the kernel takes its closed form: the
+projection of the origin onto the segment (Sener & Koltun 2018), which for
+the unit rows of the central QP is their midpoint x, so V = -x/||x||^2.
+Every other m runs one finite Wolfe corral iteration
+(:func:`_wolfe_min_norm_point`, Wolfe 1976), with no iteration budget to
+tune; it stops at an optimality gap of 1e-12 on the prescaled points and
+stays the tested reference for m = 2. :func:`_stacked_qp_values` solves
+both QPs for a whole stack of slates at once, in one broadcast for m = 2,
+for the planar field sampler. The central QP can start the Wolfe
 iteration from a given corral (``start``): the incremental solvers change
 one or two slate rows per iteration and pass the previous active set, which
 leaves about one affine solve per QP instead of one per active row. Each
@@ -139,7 +146,84 @@ def _affine_minimizer(gram_s: Array) -> Array:
     return beta
 
 
+def _rowdot(a: Array, b: Array) -> Array:
+    """Dot products of matching rows over the leading axes.
+
+    Bit for bit the 1-D ``a[i] @ b[i]`` of each pair: a stacked matmul runs
+    the single product's kernel on every element, where a sum of products
+    rounds differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _segment_min_norm(p: Array, q: Array) -> Tuple[Array, Array]:
+    """Minimum-norm point of the segment [p, q] in closed form.
+
+    Broadcasts over leading axes. Returns (x, w) with x = p - w (p - q) and
+    w = clip(p . (p - q) / ||p - q||^2, 0, 1): the projection of the origin
+    onto the segment, the two-task formula of Sener & Koltun (2018). It is
+    evaluated from the midpoint c = (p + q) / 2 as w = 1/2 + t with
+    t = c . (p - q) / ||p - q||^2 and x = c - t (p - q), equal in exact
+    arithmetic; the rounding of t then scales with ||c|| instead of ||p||, so
+    a nearly opposed pair (a nearly critical central QP, ||x|| small) keeps
+    its relative accuracy. A clipped w returns the endpoint itself. For unit
+    p and q, t is 0 up to rounding and x their midpoint; p == q gives w = 0,
+    the first vertex, as the Wolfe iteration's lowest-index tie-break does.
+    Exact to rounding, so it needs no optimality gap.
+    """
+    c = 0.5 * (p + q)
+    d = p - q
+    dd = _rowdot(d, d)
+    t = np.divide(_rowdot(c, d), dd, out=np.full_like(dd, -0.5), where=dd > 0.0)
+    t = np.clip(t, -0.5, 0.5)[..., None]
+    x = np.where(t == -0.5, p, np.where(t == 0.5, q, c - t * d))
+    return x, 0.5 + t[..., 0]
+
+
+def _start_indices(start: Sequence[int], m: int) -> List[int]:
+    """Sorted distinct corral indices; ValueError outside [0, m)."""
+    indices = sorted({int(i) for i in start})
+    if indices and (indices[0] < 0 or indices[-1] >= m):
+        raise ValueError(f"start indices must lie in [0, {m})")
+    return indices
+
+
 def _min_norm_point(
+    points: Array, start: Sequence[int] = (), wolfe: bool = False
+) -> Tuple[Array, Array, List[int]]:
+    """Minimum-norm point of conv{rows of points}.
+
+    Two rows take the closed form of :func:`_segment_min_norm`; there
+    ``start`` is validated and has nothing left to do. Every other m, and
+    m = 2 with ``wolfe`` set, runs :func:`_wolfe_min_norm_point`, the
+    reference the closed form is tested against. Returns (x, weights,
+    support) as that function does.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] != 2 or wolfe:
+        return _wolfe_min_norm_point(pts, start)
+    _start_indices(start, 2)
+    x, w = _segment_min_norm(pts[0], pts[1])
+    weights = np.array([1.0 - w, w])
+    return x, weights, [i for i in (0, 1) if weights[i] > 0.0]
+
+
+def _min_norm_points(stack: Array) -> Array:
+    """Minimum-norm point of each slate of an (N, m, n) stack, cold.
+
+    For m = 2 one closed-form broadcast over the whole stack; otherwise the
+    Wolfe iteration slate by slate. Row k of the (N, n) result is bit for
+    bit ``_min_norm_point(stack[k])[0]``.
+    """
+    if stack.shape[1] == 2:
+        return _segment_min_norm(stack[:, 0], stack[:, 1])[0]
+    x = np.empty((stack.shape[0], stack.shape[2]))
+    for k, slate in enumerate(stack):
+        x[k] = _wolfe_min_norm_point(slate)[0]
+    return x
+
+
+def _wolfe_min_norm_point(
     points: Array, start: Sequence[int] = ()
 ) -> Tuple[Array, Array, List[int]]:
     """Minimum-norm point of conv{rows of points} (Wolfe's corral iteration).
@@ -176,9 +260,7 @@ def _min_norm_point(
         support = [int(np.argmin(np.diag(gram)))]
         w = np.array([1.0])
     else:
-        support = sorted({int(i) for i in start})
-        if support[0] < 0 or support[-1] >= m:
-            raise ValueError(f"start indices must lie in [0, {m})")
+        support = _start_indices(start, m)
         # an affinely dependent corral (a duplicated row) has a singular
         # affine system and can cycle. The squared Cholesky pivots of the
         # lifted Gram p_i . p_j + 1 are the squared distances of each start
@@ -309,6 +391,7 @@ def central_direction(
     tol: float = DEFAULT_TOL,
     norm_cap: float = DEFAULT_NORM_CAP,
     start: Sequence[int] = (),
+    wolfe: bool = False,
 ) -> DirectionOutcome:
     """Minimum-norm V with g_i . V <= -||g_i|| for every slate entry g_i.
 
@@ -322,7 +405,10 @@ def central_direction(
     indices, typically the ``active_set`` of the previous solve when only a
     row or two of the slate changed. It changes the work done, not the
     answer beyond rounding; the default (no start) is the cold solve, the
-    reference the warm one is tested against.
+    reference the warm one is tested against. A two-row slate takes the
+    closed form (the midpoint x of the two unit rows, V = -x/||x||^2) and
+    ignores ``start``; ``wolfe`` runs the Wolfe iteration there instead,
+    the reference the closed form is tested against.
 
     Raises ValueError on a null slate entry, a non-finite slate, nonpositive
     tol or a start index outside the slate.
@@ -331,7 +417,7 @@ def central_direction(
         raise ValueError("tol must be positive")
     scaled, scaled_norms, exps = _prescaled_rows(slate)
     unit = scaled / scaled_norms[:, None]
-    x, mu, support = _min_norm_point(unit, start)
+    x, mu, support = _min_norm_point(unit, start, wolfe)
     delta = float(np.linalg.norm(x))
     if delta <= tol:
         return DirectionOutcome(
@@ -371,7 +457,9 @@ def central_direction(
     )
 
 
-def steepest_direction(gradients: Union[Array, Sequence]) -> Tuple[Array, float]:
+def steepest_direction(
+    gradients: Union[Array, Sequence], wolfe: bool = False
+) -> Tuple[Array, float]:
     """Solve argmin_V max_i g_i . V + 0.5 ||V||^2.
 
     Returns (V_s, value) with value = -0.5 ||V_s||^2 <= 0, zero exactly at
@@ -379,10 +467,13 @@ def steepest_direction(gradients: Union[Array, Sequence]) -> Tuple[Array, float]
     non-finite slate raises ValueError.
 
     V_s is minus the minimum-norm point of conv{g_i} (the dual, minimize
-    ||sum lambda_i g_i||^2 over the simplex), found by the Wolfe iteration
-    on the slate scaled by 2**-e to a largest entry in [0.5, 1). Its stopping
-    test bounds the optimality gap: max_i g_i . V_s + ||V_s||^2 <= 1e-12 * 4**e,
-    which is below 4e-12 * max_ij g_ij^2. steepest_direction(2**k * G) is
+    ||sum lambda_i g_i||^2 over the simplex), found on the slate scaled by
+    2**-e to a largest entry in [0.5, 1). Two gradients take the closed
+    form, the projection of the origin onto their segment, exact to
+    rounding. Other m, and m = 2 with ``wolfe`` set (the reference for the
+    closed form), run the Wolfe iteration, whose stopping test bounds the
+    optimality gap: max_i g_i . V_s + ||V_s||^2 <= 1e-12 * 4**e, which is
+    below 4e-12 * max_ij g_ij^2. steepest_direction(2**k * G) is
     2**k times the result for G, bit for bit, wherever neither overflows or
     underflows.
     """
@@ -391,9 +482,47 @@ def steepest_direction(gradients: Union[Array, Sequence]) -> Tuple[Array, float]
     if np.any(peaks == 0.0):
         return np.zeros(grads.shape[1]), 0.0
     _, exp = np.frexp(peaks.max())
-    x, _, _ = _min_norm_point(np.ldexp(grads, -exp))
+    x, _, _ = _min_norm_point(np.ldexp(grads, -exp), wolfe=wolfe)
     v = -np.ldexp(x, exp)
     return v, -0.5 * float(v @ v)
+
+
+def _stacked_qp_values(
+    grads: Array, tol: float = DEFAULT_TOL
+) -> Tuple[Array, Array, Array]:
+    """Row norms, steepest values and central norms of an (N, m, n) stack.
+
+    Slate k gets ``row_norms(grads[k])``, ``steepest_direction(grads[k])[1]``
+    and ``central_direction(grads[k], tol).norm``, bit for bit, with inf
+    for an infeasible central QP and, where ``central_direction`` would
+    raise, for a slate with a null (exactly zero) row, whose steepest value
+    is 0. One pass: one power-of-two prescale of the whole stack, then
+    :func:`_min_norm_points` for each QP, a single closed-form broadcast
+    for m = 2. Temporaries are O(N m n). Raises ValueError on a non-finite
+    entry.
+    """
+    nodes, m, n = grads.shape
+    scaled, norms, exps = _scaled_row_norms(grads.reshape(nodes * m, n))
+    scaled = scaled.reshape(grads.shape)
+    norms, exps = norms.reshape(nodes, m), exps.reshape(nodes, m)
+    steepest = np.zeros(nodes)
+    central = np.full(nodes, np.inf)
+    live = np.flatnonzero(norms.all(axis=1))
+    # steepest_direction: the slate scaled by 2**-e for its largest entry,
+    # V_s = -2**e x and the value -0.5 ||V_s||^2
+    top = exps[live].max(axis=1)
+    x = _min_norm_points(np.ldexp(grads[live], -top[:, None, None]))
+    v = -np.ldexp(x, top[:, None])
+    steepest[live] = -0.5 * _rowdot(v, v)
+    # central_direction: the unit rows' min-norm point x, delta = ||x||,
+    # then ||-x / delta^2||
+    x = _min_norm_points(scaled[live] / norms[live][..., None])
+    delta = np.sqrt(_rowdot(x, x))
+    feasible = delta > tol
+    x, delta = x[feasible], delta[feasible]
+    v = -x / (delta * delta)[:, None]
+    central[live[feasible]] = np.sqrt(_rowdot(v, v))
+    return np.ldexp(norms, exps), steepest, central
 
 
 def descent_margin(gradients: Union[Array, Sequence], u: Array) -> float:

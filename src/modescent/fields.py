@@ -3,22 +3,32 @@
 Sampling the central direction over a grid exposes the geometry of a
 two-objective problem: the direction norm blows up near the efficient set
 (where the gradients oppose each other) and the per-node mask flags exactly
-those near-critical nodes. Streamlines integrate the normalized field with
-explicit Euler steps and halt once the local descent margin can no longer
-certify strict decrease of every objective.
+those near-critical nodes. The grid is sampled in one batched pass: one
+query for the gradients of every node, one power-of-two prescale of the
+whole stack, and the min-norm kernel over all nodes at once, which for
+m = 2 is a closed form broadcast over the stack and for m >= 3 the Wolfe
+iteration slate by slate. ``oracle.sample_field_reference`` keeps the old
+per-node loop, cold Wolfe solves throughout, as its reference.
+Streamlines integrate the normalized field with explicit Euler steps and
+halt once the local descent margin can no longer certify strict decrease
+of every objective.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .directions import INFEASIBLE, central_direction, steepest_direction
-from .problems import MultiObjectiveProblem, QueryLedger, gradient_all
+from .directions import (
+    INFEASIBLE,
+    _stacked_qp_values,
+    central_direction,
+    steepest_direction,
+)
+from .problems import MultiObjectiveProblem, QueryLedger, gradient_all, gradients_at
 
 Array = np.ndarray
 
@@ -47,6 +57,34 @@ def _check_box(box: Box, dimension: int) -> List[Tuple[float, float]]:
         if not lo < hi:
             raise ValueError("box bounds must satisfy lo < hi")
     return box
+
+
+def _positive_lipschitz(problem: MultiObjectiveProblem) -> Optional[Array]:
+    """The per-objective Lipschitz constants, or None when none is positive."""
+    if problem.lipschitz is None:
+        return None
+    lip = np.asarray(problem.lipschitz, dtype=float)
+    return lip if np.any(lip > 0.0) else None
+
+
+def _grid_axes(problem: MultiObjectiveProblem, box: Box, resolution: int):
+    """Checked (box, xs, ys, spacing) of a planar sampling grid."""
+    if problem.dimension != 2:
+        raise ValueError("field sampling is defined for planar problems")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    box = _check_box(box, 2)
+    xs = np.linspace(box[0][0], box[0][1], resolution)
+    ys = np.linspace(box[1][0], box[1][1], resolution)
+    return box, xs, ys, max(xs[1] - xs[0], ys[1] - ys[0])
+
+
+def _lipschitz_min(values: Array, lip: Array) -> Array:
+    """min_i values_i / L_i over the last axis, skipping L_i = 0."""
+    scaled = np.divide(
+        values, lip, out=np.full_like(values, np.inf), where=lip > 0.0
+    )
+    return scaled.min(axis=-1)
 
 
 @dataclass
@@ -81,18 +119,17 @@ class FieldGrid:
         meta = json.dumps(
             {"box": self.box, "resolution": self.resolution}, sort_keys=True
         )
+        row = ",".join(["%.17g"] * (2 + len(names)) + ["%d"]) + "\n"
+        xs = self.xs.tolist()
         with open(path, "w", newline="") as fh:
             fh.write(f"# {meta}\n")
             fh.write(",".join(["x", "y"] + names + ["critical_mask"]) + "\n")
-            for iy in range(self.ys.size):
-                for ix in range(self.xs.size):
-                    cells = [format(self.xs[ix], ".17g"), format(self.ys[iy], ".17g")]
-                    cells += [
-                        format(float(self.channels[name][iy, ix]), ".17g")
-                        for name in names
-                    ]
-                    cells.append(str(int(self.mask[iy, ix])))
-                    fh.write(",".join(cells) + "\n")
+            # one grid row at a time keeps the temporaries small
+            for iy, y in enumerate(self.ys.tolist()):
+                columns = [xs, [y] * len(xs)]
+                columns += [self.channels[name][iy].tolist() for name in names]
+                columns.append(self.mask[iy].astype(int).tolist())
+                fh.write("".join(row % cells for cells in zip(*columns)))
 
 
 def sample_field(
@@ -105,7 +142,8 @@ def sample_field(
 ) -> FieldGrid:
     """Sample direction diagnostics over a planar grid.
 
-    Channels per node: ``min_grad_norm`` (smallest gradient norm),
+    Channels per node: ``min_grad_norm`` (smallest gradient norm, taken
+    after a power-of-two prescale, so a 1e-300 gradient keeps its size),
     ``central_norm`` (norm of the central direction, inf when the QP is
     infeasible) and ``steepest_value`` (optimal value of the regularized
     min-max problem, 0 exactly at critical points).
@@ -118,65 +156,44 @@ def sample_field(
     rescaling, so the threshold flags the nodes within about two
     ``mask_scale`` cells of the set regardless of objective units. The
     ratio test is skipped when no Lipschitz constants are declared;
-    objectives with a zero constant (linear) are excluded from the min.
-    """
-    if problem.dimension != 2:
-        raise ValueError("field sampling is defined for planar problems")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    box = _check_box(box, 2)
-    xs = np.linspace(box[0][0], box[0][1], resolution)
-    ys = np.linspace(box[1][0], box[1][1], resolution)
-    spacing = max(xs[1] - xs[0], ys[1] - ys[0])
-    lip = None
-    if problem.lipschitz is not None:
-        lip = np.asarray(problem.lipschitz, dtype=float)
-        if not np.any(lip > 0.0):
-            lip = None
-    ratio_floor = None if lip is None else mask_scale * spacing
+    objectives with a zero constant (linear) are excluded from the min. A
+    node with an exactly zero gradient is masked with central norm inf and
+    steepest value 0.
 
-    shape = (resolution, resolution)
-    min_grad = np.empty(shape)
-    central = np.empty(shape)
-    steepest = np.empty(shape)
-    mask = np.zeros(shape, dtype=bool)
+    All nodes are sampled in one pass: one :func:`gradients_at` query (m
+    gradient queries per node), then both QPs over the whole gradient
+    stack, with the arithmetic of ``central_direction`` and
+    ``steepest_direction`` node by node (bit for bit theirs). For m = 2
+    that is the closed form, and ``oracle.sample_field_reference`` (cold
+    Wolfe solves per node) is the reference; for m >= 3 both run Wolfe and
+    agree bit for bit.
+    """
+    box, xs, ys, spacing = _grid_axes(problem, box, resolution)
+    lip = _positive_lipschitz(problem)
+    gx, gy = np.meshgrid(xs, ys)
     ledger = QueryLedger.for_objectives(problem.num_objectives)
-    for iy in range(resolution):
-        for ix in range(resolution):
-            point = np.array([xs[ix], ys[iy]])
-            grads = gradient_all(problem, point, ledger)
-            norms = np.linalg.norm(grads, axis=1)
-            min_grad[iy, ix] = norms.min()
-            _, value = steepest_direction(grads)
-            steepest[iy, ix] = value
-            if norms.min() == 0.0:
-                central[iy, ix] = float("inf")
-                mask[iy, ix] = True
-                continue
-            outcome = central_direction(grads, tol=qp_tol, norm_cap=hard_cap)
-            if outcome.kind == INFEASIBLE:
-                central[iy, ix] = float("inf")
-                mask[iy, ix] = True
-                continue
-            central[iy, ix] = outcome.norm
-            flagged = outcome.norm >= hard_cap
-            if ratio_floor is not None:
-                scaled = np.divide(
-                    norms, lip, out=np.full_like(norms, np.inf), where=lip > 0.0
-                )
-                flagged = flagged or (scaled.min() / outcome.norm) <= ratio_floor
-            mask[iy, ix] = flagged
+    grads = gradients_at(problem, np.stack([gx.ravel(), gy.ravel()], 1), ledger)
+    sizes, steepest, central = _stacked_qp_values(grads, qp_tol)
+    # infinite: infeasible, or a null gradient
+    mask = ~np.isfinite(central)
+    live = np.flatnonzero(~mask)
+    flagged = central[live] >= hard_cap
+    if lip is not None:
+        ratio = _lipschitz_min(sizes[live], lip) / central[live]
+        flagged |= ratio <= mask_scale * spacing
+    mask[live] = flagged
+    shape = (resolution, resolution)
     return FieldGrid(
         box=box,
         resolution=resolution,
         xs=xs,
         ys=ys,
         channels={
-            "min_grad_norm": min_grad,
-            "central_norm": central,
-            "steepest_value": steepest,
+            "min_grad_norm": sizes.min(axis=1).reshape(shape),
+            "central_norm": central.reshape(shape),
+            "steepest_value": steepest.reshape(shape),
         },
-        mask=mask,
+        mask=mask.reshape(shape),
     )
 
 
@@ -206,8 +223,8 @@ def trace_streamline(
     excluded from the min). The per-objective form keeps the halt point
     invariant under positive rescalings of the objectives. It also
     halts on an infeasible QP, a direction norm at ``hard_cap``, a null
-    gradient, a box exit, or after ``max_steps`` steps. The steepest field
-    halts once ||direction|| < ``crit_tol`` (plus box exit and the step
+    (exactly zero) gradient, a box exit, or after ``max_steps`` steps. The
+    steepest field halts once ||direction|| < ``crit_tol`` (plus box exit and the step
     cap). Every recorded step of a central streamline strictly decreases
     every objective.
     """
@@ -217,18 +234,13 @@ def trace_streamline(
         raise ValueError("step must be positive")
     x = np.array(x0, dtype=float)
     checked_box = None if box is None else _check_box(box, problem.dimension)
-    lip = None
-    if problem.lipschitz is not None:
-        lip = np.asarray(problem.lipschitz, dtype=float)
-        if not np.any(lip > 0.0):
-            lip = None
+    lip = _positive_lipschitz(problem)
     points = [x.copy()]
     ledger = QueryLedger.for_objectives(problem.num_objectives)
     for _ in range(max_steps):
         grads = gradient_all(problem, x, ledger)
-        norms = np.linalg.norm(grads, axis=1)
         if field == "central":
-            if norms.min() == 0.0:
+            if not grads.any(axis=1).all():
                 return np.vstack(points), HALT_CRITICAL
             outcome = central_direction(grads, tol=qp_tol, norm_cap=hard_cap)
             if outcome.kind == INFEASIBLE:
@@ -236,13 +248,8 @@ def trace_streamline(
             if outcome.norm >= hard_cap:
                 return np.vstack(points), HALT_NORM_CAP
             unit = outcome.vector / outcome.norm
-            if lip is not None:
-                slopes = -grads @ unit
-                scaled = np.divide(
-                    slopes, lip, out=np.full_like(slopes, np.inf), where=lip > 0.0
-                )
-                if scaled.min() <= 0.5 * step:
-                    return np.vstack(points), HALT_DESCENT_MARGIN
+            if lip is not None and _lipschitz_min(-grads @ unit, lip) <= 0.5 * step:
+                return np.vstack(points), HALT_DESCENT_MARGIN
         else:
             v, _ = steepest_direction(grads)
             vnorm = float(np.linalg.norm(v))

@@ -4,7 +4,10 @@ Everything here trades speed for independence: dense grids, angular sweeps,
 finite differences and a first-order solve of the steepest dual that share
 no code with the QP solvers they verify. The planar routines (n = 2) exist
 because exhaustive search is only viable there; callers must not feed them
-higher-dimensional data.
+higher-dimensional data. One reference does share the QP solvers:
+:func:`sample_field_reference`, the per-node loop that the batched field
+sampler replaced, solves each node's QPs with cold Wolfe iterations, so it
+checks the batching and the m = 2 closed form, not the QPs themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .problems import MultiObjectiveProblem, QueryLedger, evaluate
+from .directions import INFEASIBLE, central_direction, row_norms, steepest_direction
+from .fields import (
+    DEFAULT_MASK_SCALE,
+    Box,
+    FieldGrid,
+    _grid_axes,
+    _lipschitz_min,
+    _positive_lipschitz,
+)
+from .problems import MultiObjectiveProblem, QueryLedger, evaluate, gradient_all
 
 Array = np.ndarray
 
@@ -338,3 +350,60 @@ def figure1_efficient_curve(count: int = 512) -> Array:
     x1 = np.linspace(-2.0, 0.0, count)
     x2 = 2.0 * (x1 + 2.0) / (8.0 * x1 - 2.0)
     return np.stack([x1, x2], axis=1)
+
+
+def sample_field_reference(
+    problem: MultiObjectiveProblem,
+    box: Box,
+    resolution: int,
+    mask_scale: float = DEFAULT_MASK_SCALE,
+    hard_cap: float = 1e6,
+    qp_tol: float = 1e-9,
+) -> FieldGrid:
+    """:func:`~modescent.fields.sample_field`, one node at a time.
+
+    Per node: one ``gradient_all`` query, then ``steepest_direction`` and
+    ``central_direction`` with the Wolfe iteration for every m (no m = 2
+    closed form), cold. Channels and mask follow the same rules, with row
+    norms after the power-of-two prescale and a row null only when it is
+    exactly zero.
+    """
+    box, xs, ys, spacing = _grid_axes(problem, box, resolution)
+    lip = _positive_lipschitz(problem)
+    shape = (resolution, resolution)
+    min_grad = np.empty(shape)
+    central = np.full(shape, np.inf)
+    steepest = np.empty(shape)
+    mask = np.ones(shape, dtype=bool)
+    ledger = QueryLedger.for_objectives(problem.num_objectives)
+    for iy in range(resolution):
+        for ix in range(resolution):
+            grads = gradient_all(problem, np.array([xs[ix], ys[iy]]), ledger)
+            norms = row_norms(grads)
+            min_grad[iy, ix] = norms.min()
+            steepest[iy, ix] = steepest_direction(grads, wolfe=True)[1]
+            if norms.min() == 0.0:
+                continue
+            outcome = central_direction(
+                grads, tol=qp_tol, norm_cap=hard_cap, wolfe=True
+            )
+            if outcome.kind == INFEASIBLE:
+                continue
+            central[iy, ix] = outcome.norm
+            flagged = outcome.norm >= hard_cap
+            if lip is not None:
+                ratio = float(_lipschitz_min(norms, lip)) / outcome.norm
+                flagged = flagged or ratio <= mask_scale * spacing
+            mask[iy, ix] = flagged
+    return FieldGrid(
+        box=box,
+        resolution=resolution,
+        xs=xs,
+        ys=ys,
+        channels={
+            "min_grad_norm": min_grad,
+            "central_norm": central,
+            "steepest_value": steepest,
+        },
+        mask=mask,
+    )

@@ -11,8 +11,9 @@ callable, a closed-form evaluation of every objective at once, and
 otherwise loops over the per-objective callables; that loop is the
 reference the stacked forms are tested against, bit for bit. Every shipped
 factory supplies ``stacked``. The solvers use it for their per-record
-diagnostics; ``evaluate``, ``gradient`` and their ``*_all`` forms stay on
-the per-objective path.
+diagnostics and :func:`gradients_at`, the gradients at a batch of points,
+for the planar field sampler; ``evaluate``, ``gradient`` and their
+``*_all`` forms stay on the per-objective path.
 """
 
 from __future__ import annotations
@@ -198,6 +199,41 @@ def values_and_gradients(
             f" and gradients of shape {grads.shape}, expected ({m},) and ({m}, {n})"
         )
     return values, grads
+
+
+def gradients_at(
+    problem: MultiObjectiveProblem, points: Array, ledger: QueryLedger
+) -> Array:
+    """Every gradient at each of N points, stacked (N, m, n).
+
+    Counts m gradient queries per point and no function queries. Uses
+    ``problem.stacked`` when present (its values are dropped), otherwise the
+    per-objective gradient callables. Raises ValueError on points of the
+    wrong shape or with non-finite coordinates, and, naming the problem, on
+    gradients of the wrong shape or with non-finite entries.
+    """
+    pts = np.asarray(points, dtype=float)
+    m, n = problem.num_objectives, problem.dimension
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points have shape {pts.shape}, expected (N, {n})")
+    if not np.isfinite(pts).all():
+        raise ValueError("point has non-finite coordinates")
+    grads = np.empty((pts.shape[0], m, n))
+    for k, x in enumerate(pts):
+        if problem.stacked is not None:
+            g = np.asarray(problem.stacked(x)[1], dtype=float)
+        else:
+            g = np.asarray([gf(x) for gf in problem.gradient_fns], dtype=float)
+        if g.shape != (m, n):
+            raise ValueError(
+                f"problem {problem.name!r} returned gradients of shape"
+                f" {g.shape} at {x}, expected ({m}, {n})"
+            )
+        grads[k] = g
+    if not np.isfinite(grads).all():
+        raise ValueError(f"problem {problem.name!r} returned non-finite gradients")
+    ledger.gradient_counts += pts.shape[0]
+    return grads
 
 
 def make_figure1_problem() -> MultiObjectiveProblem:

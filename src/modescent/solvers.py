@@ -221,6 +221,15 @@ def _run(
         x = out.x_next
 
 
+def _unqueried_verdict(outcome, refreshed: Array) -> bool:
+    """A stopping verdict (infeasible, or norm-capped) whose certificate
+    gives weight to a slate row that was never refreshed: the infeasible
+    ``certificate``, or the capped ``active_set``."""
+    if outcome.kind == INFEASIBLE:
+        return not refreshed[outcome.certificate > 0.0].all()
+    return outcome.norm_capped and not refreshed[list(outcome.active_set)].all()
+
+
 def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
     """Fill the slate at x; return ``refresh(k, x, rows)``, which starts both
     incremental step rules. It queries the gradients of ``rows`` into the
@@ -228,7 +237,9 @@ def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
     It returns (gradients, outcome), or the stop pair: NullGradient for a
     null slate row at k = 1 (before any query) or a zero refreshed
     gradient, Infeasible for a QP with no feasible direction within
-    ``norm_cap`` (both certify criticality).
+    ``norm_cap`` (both certify criticality). Such a verdict stops the run
+    only when every row it gives weight to has been queried; otherwise the
+    QP over the queried rows alone decides, at no extra query.
     """
     m, n = problem.num_objectives, problem.dimension
     if slate_init == "random-unit":
@@ -252,13 +263,22 @@ def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
         outcome = central_direction(
             slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
         )
+        active = outcome.active_set
+        if _unqueried_verdict(outcome, slate.refreshed):
+            # the verdict leans on a row that was never queried (the
+            # arbitrary initial fill): solve again, cold, over the queried
+            # rows only, whose verdict is a real certificate
+            queried = np.flatnonzero(slate.refreshed)
+            outcome = central_direction(
+                slate.vectors[queried], tol=qp_tol, norm_cap=norm_cap
+            )
+            active = tuple(int(queried[i]) for i in outcome.active_set)
         # "no feasible direction within the norm cap" is the emptiness
         # certificate: a capped-but-feasible QP stops the run the same way.
         if outcome.kind == INFEASIBLE:
             return STOP_INFEASIBLE, float("inf")
         if outcome.norm_capped:
             return STOP_INFEASIBLE, outcome.norm
-        active = outcome.active_set
         return grads, outcome
 
     return refresh
@@ -460,7 +480,8 @@ def run_incremental_central_armijo(
         if problem.lipschitz is not None:
             l_j = problem.lipschitz[j]
             factor = 1.0 if l_j == 0.0 else min((1.0 - beta) / (2.0 * l_j), 1.0)
-            step_floor = factor * float(row_norms(g_j)[0]) / outcome.norm
+            # the search starts at alpha = 1, so no floor exceeds it
+            step_floor = min(factor * float(row_norms(g_j)[0]) / outcome.norm, 1.0)
         x_next = x + alpha * unit
         t_next = chooser.next(j)
         f_probe = evaluate(problem, t_next, x_next, ledger)

@@ -260,3 +260,39 @@ class TestBenchmarkTracer:
         inside = tracer.ancestors_named({"solvers.run"})
         queries = np.count_nonzero(inside & (names == "problems.query"))
         assert queries == last.grad_evals + last.fn_evals > 0
+
+    @pytest.mark.parametrize("start", ["0.5,0.5", "0.9,-0.2", "-0.5,-0.5"])
+    def test_field_spans(self, capsys, tmp_path, start):
+        # installing needs every wrapped name: fields.central_direction,
+        # fields.steepest_direction, fields.gradient_all, cli.sample_field
+        # and FieldGrid.to_csv among them
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        restore = tracer.install(modescent)
+        try:
+            code, _, _ = run_cli(
+                capsys, "field", "--problem", "figure1", "--box", "-3,1,-3,1",
+                "--res", "10", "--streamline", start,
+                "--out", str(tmp_path / "grid.csv"),
+            )
+        finally:
+            restore()
+        assert code == 0
+        names = np.asarray(tracer.names)
+        for span in ("fields.sample", "fields.streamline", "fields.to_csv"):
+            assert span in names
+        # the grid is sampled in one batch: no per-node solves or queries
+        in_sample = tracer.ancestors_named({"fields.sample"})
+        assert not np.any(in_sample & (names != "fields.sample"))
+        # one central solve per visited point, less the last one's when the
+        # run stopped on the step budget or before solving there
+        (line,) = np.flatnonzero(names == "fields.streamline")
+        points, halt = tracer.payloads[line][0]
+        solves = np.count_nonzero(
+            tracer.ancestors_named({"fields.streamline"})
+            & (names == "directions.central")
+        )
+        assert solves == len(points) - (halt in ("max-steps", "critical"))

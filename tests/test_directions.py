@@ -283,7 +283,7 @@ class TestMinNormKernel:
             directions, "_affine_minimizer", lambda sub: np.full(len(sub), np.nan)
         )
         with pytest.raises(DirectionSolverError, match="corral loop"):
-            directions._min_norm_point(np.eye(2))
+            directions._wolfe_min_norm_point(np.eye(2))
 
     def test_violating_corral_vertex_is_not_convergence(self, monkeypatch):
         # weights that ignore the new vertex leave it violating the
@@ -292,7 +292,7 @@ class TestMinNormKernel:
             directions, "_affine_minimizer", lambda sub: np.eye(len(sub))[0]
         )
         with pytest.raises(DirectionSolverError, match="stalled"):
-            directions._min_norm_point(np.eye(2))
+            directions._wolfe_min_norm_point(np.eye(2))
 
     def test_start_indices_outside_the_slate_raise(self):
         for start in ((-1, 0), (0, 2), (5,)):
@@ -308,6 +308,105 @@ class TestMinNormKernel:
         )
         with pytest.raises(DirectionSolverError, match="corral loop"):
             directions._min_norm_point(np.eye(3), (0, 1, 2))
+
+
+def _two_row_slate(rng, case):
+    """Seeded 2-row slate: generic, duplicated up to a positive factor,
+    opposed (the origin on the segment), near-parallel, nearly opposed or
+    of very different lengths; at scale 2**-1000, 1 or 2**1000."""
+    n = int(rng.integers(1, 7))
+    p = rng.normal(size=n)
+    kind = case % 6
+    if kind == 0:
+        q = rng.normal(size=n)
+    elif kind == 1:
+        q = p * (1.0 if case % 12 == 1 else rng.uniform(0.1, 10.0))
+    elif kind == 2:
+        q = -rng.uniform(0.1, 10.0) * p
+    elif kind == 3:
+        q = rng.uniform(0.5, 2.0) * p + 1e-8 * rng.normal(size=n)
+    elif kind == 4:
+        q = -rng.uniform(0.5, 2.0) * p + 1e-8 * rng.normal(size=n)
+    else:
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return np.ldexp(np.stack([p, q]), (-1000, 0, 1000)[(case // 6) % 3])
+
+
+class TestClosedForm:
+    """The m = 2 closed form against the Wolfe iteration, its reference."""
+
+    def test_kernel_is_optimal_and_matches_wolfe(self):
+        rng = np.random.default_rng(17)
+        for case in range(600):
+            slate = _two_row_slate(rng, case)
+            _, e = np.frexp(np.abs(slate).max())
+            pts = np.ldexp(slate, -e)
+            x, w, support = directions._min_norm_point(pts)
+            xw, ww, support_w = directions._wolfe_min_norm_point(pts)
+            # optimal to rounding, where Wolfe stops at a 1e-12 gap
+            assert x @ x - (pts @ x).min() <= 1e-15, case
+            assert abs(x @ x - xw @ xw) <= 1e-12, case
+            assert w.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.abs(w @ pts - x).max() <= 1e-15, case
+            assert support == [i for i in (0, 1) if w[i] > 0.0]
+            with np.errstate(over="ignore"):  # the value of a 2**1000 slate
+                v, _ = steepest_direction(slate)
+            assert np.array_equal(v, -np.ldexp(x, e))
+            if case % 12 == 1:  # duplicated row: the lowest index, as Wolfe
+                assert support == support_w == [0]
+                assert w.tolist() == ww.tolist() == [1.0, 0.0]
+
+    def test_stacked_qps_match_slate_by_slate(self):
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 3):
+            stack = rng.normal(size=(300, m, 3))
+            stack *= np.exp(rng.uniform(-3.0, 3.0, (300, m, 1)))
+            stack[::7, -1] = 2.0 * stack[::7, 0]  # duplicated up to a factor
+            stack[1::7, -1] = -3.0 * stack[1::7, 0]  # opposed: infeasible
+            stack[2::7, 0] = 0.0  # a null row
+            stack[3::7] *= 2.0**-1000
+            sizes, steepest, central = directions._stacked_qp_values(stack)
+            for k, slate in enumerate(stack):
+                assert np.array_equal(sizes[k], directions.row_norms(slate))
+                assert steepest[k] == steepest_direction(slate)[1]
+                if k % 7 == 2:
+                    assert (steepest[k], central[k]) == (0.0, np.inf)
+                    continue
+                out = central_direction(slate)
+                assert central[k] == out.norm  # inf when infeasible
+            assert np.isinf(central[1::7]).all() == (m > 1)
+
+    def test_central_matches_wolfe(self):
+        rng = np.random.default_rng(29)
+        kinds = {DIRECTION: 0, INFEASIBLE: 0}
+        for case in range(600):
+            slate = _two_row_slate(rng, case)
+            # multipliers of 2**-1000 rows lie beyond the float range
+            with np.errstate(over="ignore"):
+                closed = central_direction(slate)
+                wolfe = central_direction(slate, wolfe=True)
+            kinds[wolfe.kind] += 1
+            assert closed.kind == wolfe.kind, case
+            if wolfe.kind == DIRECTION:
+                err = np.linalg.norm(closed.vector - wolfe.vector)
+                bound = 1e-14 * wolfe.norm * max(1.0, wolfe.norm)
+                if case % 6 == 3:
+                    # near-parallel unit rows are a vertex and the midpoint
+                    # apart by 1e-16 in squared norm, far inside Wolfe's
+                    # 1e-12 gap, which bounds the distance by sqrt(2e-12)
+                    bound = math.sqrt(2e-12) * wolfe.norm**2
+                assert err <= bound, case
+                assert closed.norm_capped == wolfe.norm_capped
+        assert min(kinds.values()) >= 100  # both verdicts are exercised
+
+    def test_unit_rows_give_the_midpoint(self):
+        out = central_direction(np.array([[3.0, 0.0], [0.0, 0.5]]))
+        assert out.vector == pytest.approx([-1.0, -1.0], rel=1e-15)
+        assert out.active_set == (0, 1)
+        assert out.multipliers == pytest.approx([1.0 / 3.0, 2.0])
+        same = central_direction(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert same.active_set == (0,)
+        assert same.vector == pytest.approx(-np.array([1.0, 2.0]) / math.sqrt(5.0))
 
 
 def _support(out):

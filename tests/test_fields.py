@@ -13,12 +13,18 @@ from modescent import (
     make_figure1_problem,
     make_scaled_variant,
     make_unbounded_linear_problem,
+    problem_from_name,
     sample_field,
     trace_streamline,
     write_streamlines_csv,
 )
+from modescent import fields
+from modescent.fields import FieldGrid
+from modescent.oracle import sample_field_reference
 
 BOX = ((-2.5, 1.0), (-2.5, 1.0))
+WIDE = ((-3.0, 1.0), (-3.0, 1.0))
+QUAD_BOX = ((-1.5, 1.5), (-1.5, 1.5))
 
 
 def single_objective_variant(fig):
@@ -108,6 +114,91 @@ class TestSampleField:
             sample_field(make_unbounded_linear_problem(2, 3, seed=1), BOX, 5)
 
 
+REFERENCE_CASES = (
+    [
+        ("figure1", BOX, 41),
+        ("figure1", WIDE, 80),
+        ("figure1", WIDE, 120),
+        ("figure1-scaled:1,10", WIDE, 60),
+    ]
+    + [(f"random-quadratic:2,2,{p}", QUAD_BOX, 30) for p in range(5)]
+    + [(f"random-quadratic:3,2,{p}", QUAD_BOX, 30) for p in range(5)]
+)
+
+
+class TestBatchedSampler:
+    """The one-pass sampler against the per-node loop of cold Wolfe solves."""
+
+    @pytest.mark.parametrize(
+        "name, box, res",
+        REFERENCE_CASES,
+        ids=[f"{name}@{res}" for name, _, res in REFERENCE_CASES],
+    )
+    def test_matches_the_per_node_reference(self, name, box, res):
+        problem = problem_from_name(name)
+        fast = sample_field(problem, box, res)
+        ref = sample_field_reference(problem, box, res)
+        assert np.array_equal(fast.mask, ref.mask)
+        if problem.num_objectives >= 3:  # both run Wolfe: the same bits
+            for channel in FieldGrid.CHANNEL_ORDER:
+                assert np.array_equal(fast.channels[channel], ref.channels[channel])
+            return
+        assert np.array_equal(
+            fast.channels["min_grad_norm"], ref.channels["min_grad_norm"]
+        )
+        # both normalize the rows first, which perturbs the hull point by
+        # about one rounding and ||V|| = 1/delta by eps ||V|| relative, so
+        # the agreement is relative and widens with ||V|| (as in the kkt
+        # suite's closed-form-agreement check)
+        a, b = fast.channels["central_norm"], ref.channels["central_norm"]
+        finite = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), finite)
+        a, b = a[finite], b[finite]
+        assert (np.abs(a - b) <= 1e-14 * b * np.maximum(1.0, b)).all()
+        # Wolfe stops at a gap of 1e-12 * 4**e on a slate scaled by 2**-e,
+        # which bounds its value error by the same; the closed form is exact
+        # to rounding
+        gx, gy = np.meshgrid(fast.xs, fast.ys)
+        nodes = np.stack([gx.ravel(), gy.ravel()], 1)
+        grads = fields.gradients_at(problem, nodes, QueryLedger.for_objectives(2))
+        _, e = np.frexp(np.abs(grads).max(axis=(1, 2)))
+        a, b = fast.channels["steepest_value"], ref.channels["steepest_value"]
+        bound = np.ldexp(1e-12, 2 * e).reshape(a.shape) + 1e-15 * np.abs(b)
+        assert (np.abs(a - b) <= bound).all()
+
+    def test_one_batched_query_and_no_per_node_solves(self, fig1, monkeypatch):
+        def per_node(*args, **kwargs):
+            raise AssertionError("per-node call")
+
+        batches = []
+
+        def counted(problem, points, ledger):
+            batches.append(len(points))
+            return gradients_at(problem, points, ledger)
+
+        gradients_at = fields.gradients_at
+        for name in ("central_direction", "steepest_direction", "gradient_all"):
+            monkeypatch.setattr(fields, name, per_node)
+        monkeypatch.setattr(fields, "gradients_at", counted)
+        grid = sample_field(fig1, WIDE, 30)
+        assert batches == [900]
+        assert int(grid.mask.sum()) > 0
+
+    def test_tiny_gradients_keep_the_figure1_mask(self, fig1):
+        tiny = problem_from_name("figure1-scaled:1e-300,1")
+        a = sample_field(fig1, WIDE, 40)
+        b = sample_field(tiny, WIDE, 40)
+        assert int(a.mask.sum()) == 57
+        assert np.array_equal(a.mask, b.mask)
+        ca, cb = a.channels["central_norm"], b.channels["central_norm"]
+        finite = np.isfinite(ca)
+        assert np.array_equal(np.isfinite(cb), finite)
+        assert (np.abs(ca[finite] - cb[finite]) <= 1e-9 * ca[finite]).all()
+        ga, gb = a.channels["min_grad_norm"], b.channels["min_grad_norm"]
+        assert np.array_equal(ga > 0.0, gb > 0.0)
+        assert 1e-302 < gb[gb > 0.0].min() and gb.max() < 1e-298
+
+
 class TestFieldCsv:
     def test_round_trip(self, grid41, tmp_path):
         path = tmp_path / "field.csv"
@@ -129,6 +220,32 @@ class TestFieldCsv:
         assert float(row[2]) == grid41.channels["min_grad_norm"][iy, ix]
         assert row[5] == str(int(grid41.mask[iy, ix]))
 
+    def test_cells_are_formatted_one_by_one(self, tmp_path):
+        values = np.array([[0.1, -0.0], [np.inf, 1e-300], [2.0 / 3.0, 5e-324]])
+        grid = FieldGrid(
+            box=[(0.0, 1.0), (0.0, 2.0)],
+            resolution=2,
+            xs=np.array([0.0, 1.0 / 3.0]),
+            ys=np.array([0.0, 1.0, 2.0]),
+            channels={"min_grad_norm": values, "central_norm": -values,
+                      "steepest_value": values.T.reshape(3, 2)},
+            mask=values > 0.5,
+        )
+        path = tmp_path / "cells.csv"
+        grid.to_csv(str(path))
+        rows = path.read_text().splitlines()[2:]
+        expected = [
+            ",".join(
+                [format(float(grid.xs[ix]), ".17g"), format(float(grid.ys[iy]), ".17g")]
+                + [format(float(grid.channels[c][iy, ix]), ".17g")
+                   for c in FieldGrid.CHANNEL_ORDER]
+                + [str(int(grid.mask[iy, ix]))]
+            )
+            for iy in range(3)
+            for ix in range(2)
+        ]
+        assert rows == expected
+
     def test_channel_subset_and_unknown(self, grid41, tmp_path):
         path = tmp_path / "subset.csv"
         grid41.to_csv(str(path), channels=["central_norm"])
@@ -146,6 +263,13 @@ class TestTraceStreamline:
         curve = figure1_efficient_curve(8192)
         dist = np.linalg.norm(curve - pts[-1][None, :], axis=1).min()
         assert dist <= 0.005
+
+    def test_tiny_gradients_follow_the_figure1_streamline(self, fig1):
+        tiny = problem_from_name("figure1-scaled:1e-300,1")
+        a, halt_a = trace_streamline(fig1, (0.5, 0.5), field="central", step=0.01)
+        b, halt_b = trace_streamline(tiny, (0.5, 0.5), field="central", step=0.01)
+        assert (halt_b, len(b)) == (halt_a, len(a)) == ("descent-margin", 142)
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_every_step_decreases_every_objective(self, fig1):
         pts, _ = trace_streamline(fig1, (0.5, 0.5), field="central", step=0.01)

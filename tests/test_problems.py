@@ -12,6 +12,7 @@ from modescent import (
     evaluate_all,
     gradient,
     gradient_all,
+    gradients_at,
     make_figure1_problem,
     make_random_quadratic_family,
     make_scaled_variant,
@@ -457,3 +458,67 @@ class TestValuesAndGradients:
             assert same_bits(grads, ref_grads)
 
         check()
+
+
+class TestGradientsAt:
+    """The batched gradient query of the field sampler."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            make_figure1_problem(),
+            make_scaled_variant(make_figure1_problem(), (1e-300, 1.0)),
+            dataclasses.replace(make_figure1_problem(), stacked=None),
+            make_random_quadratic_family(3, 2, seed=1),
+        ],
+        ids=["figure1", "figure1-tiny", "figure1-loop", "quad3"],
+    )
+    def test_matches_gradient_all_per_point(self, problem):
+        points = np.random.default_rng(5).uniform(-3.0, 1.0, size=(50, 2))
+        ledger = QueryLedger.for_objectives(problem.num_objectives)
+        grads = gradients_at(problem, points, ledger)
+        assert grads.shape == (50, problem.num_objectives, 2)
+        scratch = QueryLedger.for_objectives(problem.num_objectives)
+        for x, g in zip(points, grads):
+            assert same_bits(g, gradient_all(problem, x, scratch))
+        assert ledger.gradient_counts.tolist() == [50] * problem.num_objectives
+        assert ledger.function_evals == 0
+
+    def test_uses_stacked_when_present(self, fig1):
+        calls = []
+
+        def stacked(x):
+            calls.append(x)
+            return fig1.stacked(x)
+
+        problem = dataclasses.replace(fig1, stacked=stacked)
+        gradients_at(problem, np.zeros((7, 2)), QueryLedger.for_objectives(2))
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[np.nan, 0.0]], [[0.0, 0.0], [0.0, np.inf]], [[0.0, 0.0, 0.0]], [0.0, 0.0]],
+    )
+    def test_bad_points_raise_before_counting(self, fig1, points):
+        ledger = QueryLedger.for_objectives(2)
+        with pytest.raises(ValueError, match="point"):
+            gradients_at(fig1, np.array(points), ledger)
+        assert ledger.gradient_evals == 0
+
+    def test_bad_gradients_raise_by_name(self, fig1):
+        points = np.array([[0.0, 0.0], [1.0, 1.0]])
+        ledger = QueryLedger.for_objectives(2)
+        wide = dataclasses.replace(
+            fig1, stacked=lambda x: (np.zeros(2), np.zeros((2, 3))), name="wide"
+        )
+        with pytest.raises(ValueError, match="'wide' returned gradients of shape"):
+            gradients_at(wide, points, ledger)
+        # a non-finite gradient at the second node only
+        bad = dataclasses.replace(
+            fig1,
+            stacked=lambda x: (np.zeros(2), np.full((2, 2), np.inf if x[0] else 1.0)),
+            name="blowup",
+        )
+        with pytest.raises(ValueError, match="'blowup' returned non-finite"):
+            gradients_at(bad, points, ledger)
+        assert ledger.gradient_evals == 0

@@ -717,3 +717,72 @@ class TestStackedDiagnostics:
         assert abs(term.min_grad_norm - min_grad) <= 1e-15 * min_grad
         assert term.grad_evals == 3 * 5
 
+
+
+class TestUnqueriedCertificates:
+    """A criticality verdict stops a run only when every slate row it gives
+    weight to has been queried; the random-unit fill is not a gradient."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        queried, calls = set(), []
+        real_gradient, real_central = solvers.gradient, solvers.central_direction
+
+        def gradient_spy(problem, i, x, ledger):
+            queried.add(i)
+            return real_gradient(problem, i, x, ledger)
+
+        def central_spy(slate, **kwargs):
+            out = real_central(slate, **kwargs)
+            calls.append((len(slate), set(queried), out))
+            return out
+
+        monkeypatch.setattr(solvers, "gradient", gradient_spy)
+        monkeypatch.setattr(solvers, "central_direction", central_spy)
+        return calls
+
+    @staticmethod
+    def check_run(records, calls, m, per_iter):
+        last = records[-1]
+        started = last.k - (last.stop_reason == "MaxIter")
+        for r in records:
+            assert r.grad_evals == per_iter * min(r.k, started)
+        if last.stop_reason != "Infeasible":
+            return
+        rows, queried, out = calls[-1]
+        if rows < m:  # the solve over the queried rows alone
+            assert rows == len(queried)
+        elif out.kind == directions.INFEASIBLE:
+            assert set(np.flatnonzero(out.certificate > 0.0)) <= queried
+        else:
+            assert set(out.active_set) <= queried
+
+    def run(self, algo, problem, x0, max_iter):
+        if algo == "icd":
+            return run_incremental_central(
+                problem, x0, StepSchedule.harmonic(), max_iter=max_iter
+            )
+        return run_incremental_central_armijo(problem, x0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("algo", ["icd", "icd-armijo"])
+    def test_wide_slate_does_not_stop_at_the_first_iteration(self, monkeypatch, algo):
+        # the 40 random unit rows put 0 in their hull: the old verdict
+        # stopped this run Infeasible at k = 1, far from critical
+        problem = problem_from_name("random-quadratic:40,10,0")
+        calls = self.spy(monkeypatch)
+        records = self.run(algo, problem, np.full(10, 3.0), 300)
+        assert records[-1].k > 20
+        assert any(rows < 40 for rows, _, _ in calls)
+        self.check_run(records, calls, 40, 1 if algo == "icd" else 2)
+
+    @pytest.mark.parametrize("algo", ["icd", "icd-armijo"])
+    def test_no_stop_on_unqueried_rows_when_m_exceeds_n(self, monkeypatch, algo):
+        partial = 0
+        for m, n in ((4, 2), (6, 3), (12, 4), (20, 6)):
+            for seed in range(3):
+                problem = make_random_quadratic_family(m, n, seed)
+                calls = self.spy(monkeypatch)
+                records = self.run(algo, problem, np.full(n, 2.0), 150)
+                self.check_run(records, calls, m, 1 if algo == "icd" else 2)
+                partial += any(rows < m for rows, _, _ in calls)
+        assert partial > 0
