@@ -25,6 +25,8 @@ import numpy as np
 from .directions import (
     DIRECTION,
     INFEASIBLE,
+    _min_norm_points,
+    _wolfe_min_norm_point,
     central_direction,
     steepest_direction,
 )
@@ -470,6 +472,20 @@ def _suite_kkt(seed: int) -> List[dict]:
     checks.append(
         _check("closed-form-agreement", -float(flips) if flips else 1e-14 - worst)
     )
+
+    # planar stacks of three to six rows, some with a duplicated row (a
+    # singular corral system) or an opposed pair, through the batched corral
+    # and the per-slate Wolfe iteration: every slate must agree in every bit
+    differ = 0
+    for case in range(60):
+        stack = rng.normal(size=(16, 3 + case % 4, 2))
+        stack[::4, -1] = stack[::4, 0]
+        stack[1::4, 1] = -rng.uniform(0.1, 10.0) * stack[1::4, 0]
+        batched = _min_norm_points(stack).view(np.int64)
+        for k, slate in enumerate(stack):
+            single = _wolfe_min_norm_point(slate)[0].view(np.int64)
+            differ += not np.array_equal(batched[k], single)
+    checks.append(_check("batched-corral-agreement", -float(differ)))
     return checks
 
 

@@ -26,8 +26,10 @@ Every other m runs one finite Wolfe corral iteration
 (:func:`_wolfe_min_norm_point`, Wolfe 1976), with no iteration budget to
 tune; it stops at an optimality gap of 1e-12 on the prescaled points and
 stays the tested reference for m = 2. :func:`_stacked_qp_values` solves
-both QPs for a whole stack of slates at once, in one broadcast for m = 2,
-for the planar field sampler. The central QP can start the Wolfe
+both QPs for a whole stack of slates at once, for the planar field
+sampler: one broadcast for m = 2, and otherwise one batched corral over
+the stack, grouped by corral, bit for bit the per-slate Wolfe
+(:func:`_corral_min_norm_points`). The central QP can start the Wolfe
 iteration from a given corral (``start``): the incremental solvers change
 one or two slate rows per iteration and pass the previous active set, which
 leaves about one affine solve per QP instead of one per active row. Each
@@ -40,6 +42,7 @@ only when it is exactly zero.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -211,15 +214,145 @@ def _min_norm_point(
 def _min_norm_points(stack: Array) -> Array:
     """Minimum-norm point of each slate of an (N, m, n) stack, cold.
 
-    For m = 2 one closed-form broadcast over the whole stack; otherwise the
-    Wolfe iteration slate by slate. Row k of the (N, n) result is bit for
-    bit ``_min_norm_point(stack[k])[0]``.
+    For m = 2 one closed-form broadcast over the whole stack; otherwise one
+    batched Wolfe corral iteration over the stack, grouped by corral
+    (:func:`_corral_min_norm_points`). Row k of the (N, n) result is bit
+    for bit ``_min_norm_point(stack[k])[0]``.
     """
     if stack.shape[1] == 2:
         return _segment_min_norm(stack[:, 0], stack[:, 1])[0]
-    x = np.empty((stack.shape[0], stack.shape[2]))
-    for k, slate in enumerate(stack):
-        x[k] = _wolfe_min_norm_point(slate)[0]
+    return _corral_min_norm_points(stack)
+
+
+def _affine_minimizers(gram_s: Array) -> Array:
+    """:func:`_affine_minimizer` of each (k, k) corral Gram of a stack.
+
+    One batched LAPACK solve, the kernel of the single solve, gives bit for
+    bit its weights; a stack holding a singular system falls back to the
+    single function slate by slate, least squares for the singular ones.
+    """
+    count, k = gram_s.shape[:2]
+    kkt = np.zeros((count, k + 1, k + 1))
+    kkt[:, :k, :k] = gram_s
+    kkt[:, :k, k] = 1.0
+    kkt[:, k, :k] = 1.0
+    rhs = np.zeros((count, k + 1, 1))
+    rhs[:, k] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return np.array([_affine_minimizer(sub) for sub in gram_s])
+    beta = sol[:, :k, 0]
+    total = beta.sum(axis=1)
+    rescale = (np.abs(total - 1.0) > 1e-8) & (np.abs(total) > 1e-300)
+    beta[rescale] /= total[rescale, None]
+    return beta
+
+
+# phases of a slate in the batched corral iteration: the minor cycle's
+# affine step, or the optimality test of a major step
+_MINOR, _TEST = 0, 1
+
+
+def _corral_min_norm_points(stack: Array) -> Array:
+    """Cold :func:`_wolfe_min_norm_point` of every slate of an (N, m, n) stack.
+
+    The corral iteration runs in lock step over the stack: slates advance
+    in groups keyed by (phase, ordered corral), and each round takes every
+    group one step with stacked operations of the per-slate shapes and
+    layouts, so BLAS and LAPACK run the single solve's kernels on the same
+    operands. Row k of the (N, n) result is bit for bit
+    ``_wolfe_min_norm_point(stack[k])[0]``. Each slate keeps the per-slate
+    budgets; when slates fail, the lowest one's DirectionSolverError is
+    raised, the one the slate-by-slate loop would raise. Temporaries are
+    the (N, m, m) Gram stack and per-group slices of it and of the stack.
+    """
+    nodes, m, n = stack.shape
+    x = np.empty((nodes, n))
+    gram = stack @ stack.transpose(0, 2, 1)
+    majors = np.zeros(nodes, dtype=int)
+    minors = np.zeros(nodes, dtype=int)
+    gaps = np.full(nodes, np.nan)
+    failures = {}
+    first = np.argmin(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    groups = defaultdict(list)
+    for j in np.flatnonzero(np.bincount(first, minlength=m)):
+        slates = np.flatnonzero(first == j)
+        groups[(_TEST, (int(j),))].append((slates, np.ones((len(slates), 1))))
+    while groups:
+        regrouped = defaultdict(list)
+        for (phase, corral), parts in groups.items():
+            slates = np.concatenate([part[0] for part in parts])
+            w = np.concatenate([part[1] for part in parts])
+            c = np.array(corral)
+            sub = gram[slates[:, None, None], c[:, None], c]
+            if phase == _MINOR:
+                beta = _affine_minimizers(sub)
+                done = np.all(beta >= -1e-14, axis=1)
+                if done.any():
+                    wd = np.clip(beta[done], 0.0, None)
+                    total = wd.sum(axis=1)
+                    positive = total > 0
+                    wd[positive] = wd[positive] / total[positive, None]
+                    regrouped[(_TEST, corral)].append((slates[done], wd))
+                if done.all():
+                    continue
+                slates, beta, w = slates[~done], beta[~done], w[~done]
+                shrink = beta < -1e-14
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratios = np.where(shrink, w / (w - beta), np.inf)
+                theta = ratios.min(axis=1)
+                w = w + theta[:, None] * (beta - w)
+                w[w < 1e-13] = 0.0
+                keep = w > 0.0
+                empty = np.flatnonzero(~keep.any(axis=1))
+                top = np.argmax(beta[empty], axis=1)
+                keep[empty, top] = True
+                w[empty, top] = 1.0
+                minors[slates] += 1
+                out = minors[slates] >= 2 * m + 8
+                message = "minimum-norm-point corral loop ran out"
+                failures.update(dict.fromkeys(slates[out].tolist(), message))
+                slates, w, keep = slates[~out], w[~out], keep[~out]
+                patterns, which = np.unique(keep, axis=0, return_inverse=True)
+                for p, pattern in enumerate(patterns):
+                    rows = which == p
+                    regrouped[(_MINOR, tuple(c[pattern].tolist()))].append(
+                        (slates[rows], w[rows][:, pattern])
+                    )
+                continue
+            # gram[:, support] of a slate is the transpose of its corral
+            # rows (the Gram is symmetric), in the same Fortran layout
+            cols = gram[slates[:, None], c].transpose(0, 2, 1)
+            d = (cols @ w[:, :, None])[:, :, 0]
+            xx = ((w[:, None, :] @ sub) @ w[:, :, None])[:, 0, 0]
+            j = np.argmin(d, axis=1)
+            dj = d[np.arange(len(slates)), j]
+            gaps[slates] = xx - dj
+            done = dj >= xx - _OPT_TOL
+            points = stack[slates[done][:, None], c].transpose(0, 2, 1)
+            x[slates[done]] = (points @ w[done][:, :, None])[:, :, 0]
+            stalled = ~done & (j[:, None] == c).any(axis=1)
+            message = "minimum-norm-point iteration stalled on a corral vertex"
+            failures.update(dict.fromkeys(slates[stalled].tolist(), message))
+            grow = ~done & ~stalled
+            slates, w, j = slates[grow], w[grow], j[grow]
+            majors[slates] += 1
+            out = majors[slates] >= 24 * m + 120
+            message = "minimum-norm-point iteration cap exceeded"
+            failures.update(dict.fromkeys(slates[out].tolist(), message))
+            slates, w, j = slates[~out], w[~out], j[~out]
+            minors[slates] = 0
+            w = np.concatenate([w, np.zeros((len(w), 1))], axis=1)
+            for vertex in np.flatnonzero(np.bincount(j, minlength=m)):
+                rows = j == vertex
+                regrouped[(_MINOR, corral + (int(vertex),))].append(
+                    (slates[rows], w[rows])
+                )
+        groups = regrouped
+    if failures:
+        slate = min(failures)
+        raise DirectionSolverError(failures[slate], float(gaps[slate]))
     return x
 
 
@@ -496,10 +629,11 @@ def _stacked_qp_values(
     and ``central_direction(grads[k], tol).norm``, bit for bit, with inf
     for an infeasible central QP and, where ``central_direction`` would
     raise, for a slate with a null (exactly zero) row, whose steepest value
-    is 0. One pass: one power-of-two prescale of the whole stack, then
-    :func:`_min_norm_points` for each QP, a single closed-form broadcast
-    for m = 2. Temporaries are O(N m n). Raises ValueError on a non-finite
-    entry.
+    is 0. One pass: one power-of-two prescale of the whole stack, then the
+    min-norm kernel for each QP over the whole stack: a single closed-form
+    broadcast for m = 2, and otherwise one batched corral iteration
+    (:func:`_min_norm_points`). Temporaries are O(N m (m + n)). Raises
+    ValueError on a non-finite entry.
     """
     nodes, m, n = grads.shape
     scaled, norms, exps = _scaled_row_norms(grads.reshape(nodes * m, n))

@@ -6,8 +6,9 @@ two-objective problem: the direction norm blows up near the efficient set
 those near-critical nodes. The grid is sampled in one batched pass: one
 query for the gradients of every node, one power-of-two prescale of the
 whole stack, and the min-norm kernel over all nodes at once, which for
-m = 2 is a closed form broadcast over the stack and for m >= 3 the Wolfe
-iteration slate by slate. ``oracle.sample_field_reference`` keeps the old
+m = 2 is a closed form broadcast over the stack and for m >= 3 one batched
+corral over the stack, grouped by corral, bit for bit the per-slate Wolfe
+iteration. ``oracle.sample_field_reference`` keeps the old
 per-node loop, cold Wolfe solves throughout, as its reference.
 Streamlines integrate the normalized field with explicit Euler steps and
 halt once the local descent margin can no longer certify strict decrease

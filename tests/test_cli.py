@@ -230,6 +230,18 @@ class TestVerify:
         assert exc.value.code == 1
 
 
+# figure1 (m = 2, the closed form) keeps its ids; random-quadratic:3,2,0
+# (m = 3, the batched corral) runs from the same starts
+FIELD_SPAN_CASES = [
+    pytest.param(problem, box, start, id=tag + start)
+    for problem, box, tag in (
+        ("figure1", "-3,1,-3,1", ""),
+        ("random-quadratic:3,2,0", "-1.5,1.5,-1.5,1.5", "quad3-"),
+    )
+    for start in ("0.5,0.5", "0.9,-0.2", "-0.5,-0.5")
+]
+
+
 class TestBenchmarkTracer:
     """The benchmark's tracer wraps solver calls by module-global name; a run
     loop that stops calling through those names would blank its per-layer
@@ -261,8 +273,8 @@ class TestBenchmarkTracer:
         queries = np.count_nonzero(inside & (names == "problems.query"))
         assert queries == last.grad_evals + last.fn_evals > 0
 
-    @pytest.mark.parametrize("start", ["0.5,0.5", "0.9,-0.2", "-0.5,-0.5"])
-    def test_field_spans(self, capsys, tmp_path, start):
+    @pytest.mark.parametrize("problem, box, start", FIELD_SPAN_CASES)
+    def test_field_spans(self, capsys, tmp_path, problem, box, start):
         # installing needs every wrapped name: fields.central_direction,
         # fields.steepest_direction, fields.gradient_all, cli.sample_field
         # and FieldGrid.to_csv among them
@@ -274,7 +286,7 @@ class TestBenchmarkTracer:
         restore = tracer.install(modescent)
         try:
             code, _, _ = run_cli(
-                capsys, "field", "--problem", "figure1", "--box", "-3,1,-3,1",
+                capsys, "field", "--problem", problem, "--box", box,
                 "--res", "10", "--streamline", start,
                 "--out", str(tmp_path / "grid.csv"),
             )

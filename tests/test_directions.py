@@ -16,7 +16,7 @@ from modescent import (
     project_to_simplex,
     steepest_direction,
 )
-from modescent import directions
+from modescent import QueryLedger, directions, gradients_at, problem_from_name
 from modescent.oracle import steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
@@ -407,6 +407,127 @@ class TestClosedForm:
         same = central_direction(np.array([[1.0, 2.0], [2.0, 4.0]]))
         assert same.active_set == (0,)
         assert same.vector == pytest.approx(-np.array([1.0, 2.0]) / math.sqrt(5.0))
+
+
+def _corral_stack(rng, m, n, count):
+    """Seeded (count, m, n) stack of slates: generic, with a duplicated row
+    (a singular corral system), an opposed pair, a collinear triple, in a
+    common cone, or with the origin inside the hull; each at scale 2**-1000,
+    1 or 2**1000."""
+    stack = rng.normal(size=(count, m, n))
+    stack[1::6, -1] = stack[1::6, 0]
+    stack[2::6, 1] = -rng.uniform(0.1, 10.0, (len(stack[2::6]), 1)) * stack[2::6, 0]
+    t = rng.uniform(-1.0, 2.0, (len(stack[3::6]), 1))
+    stack[3::6, 2] = stack[3::6, 0] + t * (stack[3::6, 1] - stack[3::6, 0])
+    stack[4::6] += 3.0 * rng.normal(size=(len(stack[4::6]), 1, n))
+    stack[5::6] -= stack[5::6].mean(axis=1, keepdims=True)
+    return np.ldexp(stack, rng.choice([-1000, 0, 1000], (count, 1, 1)))
+
+
+def _qp_stacks(grads):
+    """The two stacks the field sampler hands the kernel: each slate scaled
+    by 2**-e for its largest entry (steepest QP), and its unit rows after
+    the power-of-two prescale (central QP)."""
+    _, e = np.frexp(np.abs(grads).max(axis=(1, 2)))
+    scaled, norms, _ = directions._scaled_row_norms(grads.reshape(-1, grads.shape[2]))
+    unit = (scaled / norms[:, None]).reshape(grads.shape)
+    return np.ldexp(grads, -e[:, None, None]), unit
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _per_slate(stack):
+    x = np.empty((stack.shape[0], stack.shape[2]))
+    for k, slate in enumerate(stack):
+        x[k] = directions._wolfe_min_norm_point(slate)[0]
+    return x
+
+
+def _cycling_weights(sub):
+    # weights that drop the vertex just added: every major step re-adds it
+    beta = np.zeros(sub.shape[-1])
+    beta[0] += 2.0
+    beta[-1] -= 1.0
+    return beta
+
+
+class TestBatchedCorral:
+    """The batched m >= 3 corral against the per-slate Wolfe iteration."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stacks_match_bit_for_bit(self, monkeypatch, n):
+        # planar slates, as the field sampler has, and wider ones, whose
+        # corrals reach four and more vertices
+        rng = np.random.default_rng(41 + n)
+        singular = []
+        single = directions._affine_minimizer
+
+        def counted(sub):
+            singular.append(len(sub))
+            return single(sub)
+
+        monkeypatch.setattr(directions, "_affine_minimizer", counted)
+        for m in range(3, 11):
+            for stack in _qp_stacks(_corral_stack(rng, m, n, 240)):
+                expected = _per_slate(stack)
+                assert _same_bits(directions._min_norm_points(stack), expected), m
+        # duplicated rows made singular systems, solved by the fallback
+        assert len(singular) > 0
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_quadratic_grids_match_bit_for_bit(self, m):
+        for p in range(3):
+            problem = problem_from_name(f"random-quadratic:{m},2,{p}")
+            axis = np.linspace(-1.5, 1.5, 16)
+            gx, gy = np.meshgrid(axis, axis)
+            nodes = np.stack([gx.ravel(), gy.ravel()], 1)
+            grads = gradients_at(problem, nodes, QueryLedger.for_objectives(m))
+            for stack in _qp_stacks(grads):
+                expected = _per_slate(stack)
+                assert _same_bits(directions._min_norm_points(stack), expected), p
+
+    def test_empty_stack(self):
+        for m in (1, 3, 5):
+            x = directions._min_norm_points(np.zeros((0, m, 4)))
+            assert x.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "batched, single, match",
+        [
+            (
+                lambda subs: np.full(subs.shape[:2], np.nan),
+                lambda sub: np.full(len(sub), np.nan),
+                "corral loop",
+            ),
+            (
+                lambda subs: np.tile(np.eye(subs.shape[1])[0], (len(subs), 1)),
+                lambda sub: np.eye(len(sub))[0],
+                "stalled",
+            ),
+            (
+                lambda subs: np.array([_cycling_weights(sub) for sub in subs]),
+                _cycling_weights,
+                "cap exceeded",
+            ),
+        ],
+        ids=["corral-loop", "stalled", "cap"],
+    )
+    def test_fails_by_name_as_the_per_slate_iteration(
+        self, monkeypatch, batched, single, match
+    ):
+        # every slate fails; the lowest one's error is the one raised, as
+        # in a slate-by-slate loop (the second slate's gap is 4x larger)
+        monkeypatch.setattr(directions, "_affine_minimizers", batched)
+        monkeypatch.setattr(directions, "_affine_minimizer", single)
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        with pytest.raises(DirectionSolverError, match=match) as got:
+            directions._min_norm_points(stack)
+        with pytest.raises(DirectionSolverError, match=match) as want:
+            directions._wolfe_min_norm_point(stack[0])
+        assert str(got.value) == str(want.value)
+        assert got.value.best_residual == want.value.best_residual
 
 
 def _support(out):

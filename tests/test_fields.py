@@ -18,7 +18,7 @@ from modescent import (
     trace_streamline,
     write_streamlines_csv,
 )
-from modescent import fields
+from modescent import directions, fields
 from modescent.fields import FieldGrid
 from modescent.oracle import sample_field_reference
 
@@ -183,6 +183,16 @@ class TestBatchedSampler:
         grid = sample_field(fig1, WIDE, 30)
         assert batches == [900]
         assert int(grid.mask.sum()) > 0
+
+    def test_three_objectives_make_no_per_slate_wolfe_call(self, monkeypatch):
+        # m >= 3 runs one batched corral per QP over the grid's stack; the
+        # per-node reference test holds its channels to the Wolfe bits
+        def per_slate(*args, **kwargs):
+            raise AssertionError("per-slate Wolfe call")
+
+        monkeypatch.setattr(directions, "_wolfe_min_norm_point", per_slate)
+        grid = sample_field(problem_from_name("random-quadratic:3,2,0"), QUAD_BOX, 30)
+        assert np.isfinite(grid.channels["steepest_value"]).all()
 
     def test_tiny_gradients_keep_the_figure1_mask(self, fig1):
         tiny = problem_from_name("figure1-scaled:1e-300,1")
