@@ -42,6 +42,7 @@ only when it is exactly zero.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -132,10 +133,9 @@ class DirectionOutcome:
 def _affine_minimizer(gram_s: Array) -> Array:
     """Weights of the min-norm point of the affine hull of a corral."""
     k = gram_s.shape[0]
-    kkt = np.zeros((k + 1, k + 1))
+    kkt = np.ones((k + 1, k + 1))
     kkt[:k, :k] = gram_s
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
+    kkt[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     try:
@@ -143,7 +143,7 @@ def _affine_minimizer(gram_s: Array) -> Array:
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     beta = sol[:k]
-    total = beta.sum()
+    total = float(beta.sum())
     if abs(total - 1.0) > 1e-8 and abs(total) > 1e-300:
         beta = beta / total
     return beta
@@ -390,28 +390,30 @@ def _wolfe_min_norm_point(
     m = pts.shape[0]
     gram = pts @ pts.T
     if len(start) == 0:
-        support = [int(np.argmin(np.diag(gram)))]
-        w = np.array([1.0])
+        support = np.array([gram.diagonal().argmin()])
+        w = np.ones(1)
     else:
-        support = _start_indices(start, m)
+        support = np.array(_start_indices(start, m))
         # an affinely dependent corral (a duplicated row) has a singular
         # affine system and can cycle. The squared Cholesky pivots of the
         # lifted Gram p_i . p_j + 1 are the squared distances of each start
         # vertex from the affine hull of the earlier ones; a 1e-11 ridge
         # keeps the factorization defined, and vertices closer than 1e-5 go
-        lifted = gram[np.ix_(support, support)] + 1.0
-        lifted[np.diag_indices(len(support))] += 1e-11
-        pivots = np.diagonal(np.linalg.cholesky(lifted))
-        support = [s for s, p in zip(support, pivots) if p * p > 1e-10]
+        lifted = gram[support[:, None], support] + 1.0
+        lifted.flat[:: len(support) + 1] += 1e-11
+        pivots = np.linalg.cholesky(lifted).diagonal()
+        support = support[pivots * pivots > 1e-10]
         w = np.full(len(support), 1.0 / len(support))
     gap = float("nan")
     for _ in range(24 * m + 120):
+        # sub is the Gram of the current corral: the minor cycle leaves it
+        # set for the optimality test
         if len(support) > 1:
             for _ in range(2 * m + 8):
-                sub = gram[np.ix_(support, support)]
+                sub = gram[support[:, None], support]
                 beta = _affine_minimizer(sub)
-                if np.all(beta >= -1e-14):
-                    w = np.clip(beta, 0.0, None)
+                if beta.min() >= -1e-14:
+                    w = np.maximum(beta, 0.0)
                     break
                 shrink = beta < -1e-14
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -420,49 +422,50 @@ def _wolfe_min_norm_point(
                 w = w + theta * (beta - w)
                 w[w < 1e-13] = 0.0
                 keep = w > 0.0
-                if not np.any(keep):
-                    keep[int(np.argmax(beta))] = True
+                if not keep.any():
+                    keep[beta.argmax()] = True
                     w[keep] = 1.0
-                support = [s for s, k in zip(support, keep) if k]
+                support = support[keep]
                 w = w[keep]
             else:
                 raise DirectionSolverError(
                     "minimum-norm-point corral loop ran out", gap
                 )
-            total = w.sum()
+            total = float(w.sum())
             if total > 0:
                 w = w / total
-        sub = gram[np.ix_(support, support)]
-        d = gram[:, support] @ w
+        else:
+            sub = gram[support[:, None], support]
+        # gram[support].T is gram[:, support] (the Gram is symmetric) in the
+        # same Fortran layout, so the product rounds the same
+        d = gram[support].T @ w
         xx = float(w @ sub @ w)
-        j = int(np.argmin(d))
-        gap = xx - float(d[j])
-        if d[j] >= xx - _OPT_TOL:
+        j = int(d.argmin())
+        dj = float(d[j])
+        gap = xx - dj
+        if dj >= xx - _OPT_TOL:
             break
         if j in support:
             raise DirectionSolverError(
                 "minimum-norm-point iteration stalled on a corral vertex", gap
             )
-        support.append(j)
-        w = np.append(w, 0.0)
+        support = np.concatenate((support, (j,)))
+        w = np.concatenate((w, (0.0,)))
     else:
         raise DirectionSolverError("minimum-norm-point iteration cap exceeded", gap)
     full = np.zeros(m)
-    for s, wi in zip(support, w):
-        full[s] += wi
-    x = pts[support].T @ w
-    order = np.argsort(support)
-    support = [support[k] for k in order]
-    return x, full, support
+    # 0.0 + w, so a -0.0 weight reads 0.0 in the weights
+    full[support] += w
+    return pts[support].T @ w, full, sorted(support.tolist())
 
 
 def _slate_vectors(slate: Union[GradientSlate, Array, Sequence]) -> Array:
     if isinstance(slate, GradientSlate):
-        vectors = slate.vectors
-    else:
-        vectors = slate
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vectors.ndim != 2:
+        slate = slate.vectors
+    vectors = np.asarray(slate, dtype=float)
+    if vectors.ndim < 2:
+        vectors = vectors.reshape(1, -1)
+    elif vectors.ndim != 2:
         raise ValueError("slate must be a 2-D array of gradients")
     return vectors
 
@@ -472,8 +475,8 @@ def _row_peaks(vectors: Array) -> Array:
 
     Raises ValueError on a non-finite entry (max propagates NaN and inf).
     """
-    peaks = np.abs(vectors).max(axis=1)
-    if not np.all(np.isfinite(peaks)):
+    peaks = np.maximum.reduce(np.abs(vectors), axis=1)
+    if not np.maximum.reduce(peaks, initial=0.0) < math.inf:
         raise ValueError("slate has non-finite entries")
     return peaks
 
@@ -484,11 +487,12 @@ def _scaled_row_norms(vectors: Array) -> Tuple[Array, Array, Array]:
     Returns (scaled, norms, exps) with vectors[i] = 2**exps[i] * scaled[i]
     exactly and norms[i] = ||scaled[i]||, which neither overflows nor
     underflows. A null row stays zero with exponent 0. Raises ValueError on
-    a non-finite entry.
+    a non-finite entry. The norms are ``np.linalg.norm(scaled, axis=1)``
+    bit for bit, without its dispatch.
     """
-    _, exps = np.frexp(_row_peaks(vectors))
+    exps = np.frexp(_row_peaks(vectors))[1]
     scaled = np.ldexp(vectors, -exps[:, None])
-    return scaled, np.linalg.norm(scaled, axis=1), exps
+    return scaled, np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exps
 
 
 def row_norms(vectors: Union[Array, Sequence]) -> Array:
@@ -549,9 +553,9 @@ def central_direction(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     scaled, scaled_norms, exps = _prescaled_rows(slate)
-    unit = scaled / scaled_norms[:, None]
-    x, mu, support = _min_norm_point(unit, start, wolfe)
-    delta = float(np.linalg.norm(x))
+    x, mu, _ = _min_norm_point(scaled / scaled_norms[:, None], start, wolfe)
+    # the 1-D norms are np.linalg.norm's sqrt(x . x), without its dispatch
+    delta = math.sqrt(x @ x)
     if delta <= tol:
         return DirectionOutcome(
             kind=INFEASIBLE,
@@ -560,33 +564,43 @@ def central_direction(
             certificate=mu,
             kkt_residual=delta,
         )
-    v = -x / (delta * delta)
-    vnorm = float(np.linalg.norm(v))
-    active = [i for i in support if mu[i] > 0.0]
+    delta2 = delta * delta
+    v = -x / delta2
+    vnorm = math.sqrt(v @ v)
+    # mu is zero off the support, so its positive entries are the support
+    # vertices with positive weight, in increasing order
+    active = (mu > 0.0).nonzero()[0]
     # the certificate is formed in the scaled rows: lambda_i = 2**-e_i * a_i
     # and slack_i = 2**e_i * scaled_slack_i, so lambda_i g_i = a_i scaled_i and
     # lambda_i slack_i = a_i scaled_slack_i stay finite for any finite slate
-    a = np.array([mu[i] / (delta * delta * scaled_norms[i]) for i in active])
-    lambdas = np.ldexp(a, -exps[active])
+    a = mu[active] / (delta2 * scaled_norms[active])
+    shift = -exps[active]
+    # mu_i <= 1 and scaled_norms_i >= 1/2 give a_i <= 2**(3 - 2E) for
+    # delta in [2**(E-1), 2**E), so lambda_i can leave the float range only
+    # for a row scaled up by more than 2**(1020 + 2E), a tiny gradient; its
+    # multiplier is then inf
+    if np.maximum.reduce(shift, initial=0) > 1020 + 2 * math.frexp(delta)[1]:
+        with np.errstate(over="ignore"):
+            lambdas = np.ldexp(a, shift)
+    else:
+        lambdas = np.ldexp(a, shift)
     scaled_slack = scaled @ v + scaled_norms
-    slack = np.ldexp(scaled_slack, exps)
-    primal = float(max(slack.max(), 0.0))
-    stationarity = float(
-        np.linalg.norm(v + scaled[active].T @ a) if active else np.inf
-    )
-    complementarity = (
-        float(np.abs(a * scaled_slack[active]).max()) if active else 0.0
-    )
-    residual = max(primal, stationarity, complementarity)
+    primal = max(float(np.ldexp(scaled_slack, exps).max()), 0.0)
+    if len(active):
+        r = v + scaled[active].T @ a
+        stationarity = math.sqrt(r @ r)
+        complementarity = float(np.abs(a * scaled_slack[active]).max())
+    else:
+        stationarity, complementarity = math.inf, 0.0
     return DirectionOutcome(
         kind=DIRECTION,
         vector=v,
         norm=vnorm,
-        active_set=tuple(active),
+        active_set=tuple(active.tolist()),
         multipliers=lambdas,
         norm_capped=bool(vnorm > norm_cap),
         certificate=None,
-        kkt_residual=residual,
+        kkt_residual=max(primal, stationarity, complementarity),
     )
 
 

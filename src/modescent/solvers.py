@@ -30,7 +30,6 @@ incremental methods one slate refresh and central solve.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections import deque
@@ -679,16 +678,15 @@ def classify_run(
     return BRANCH_VANISHING if vanish_score >= blowup_score else BRANCH_BLOWUP
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), TRACE_FLOAT_FORMAT)
-
-
 def write_trace_csv(records: Sequence[IterationRecord], path: str) -> None:
     """Write a run trace: one row per record, 17-significant-digit floats.
 
     Columns: k, the iterate coordinates x0..x{n-1}, alpha, dir_norm, the
     objective values f0..f{m-1}, min_grad_norm, ratio_metric, the cumulative
-    grad_evals/fn_evals and stop_reason (empty for completed steps).
+    grad_evals/fn_evals and stop_reason (empty for completed steps). The
+    text is what ``csv.writer`` writes for these fields (no field needs
+    quoting), with each float formatted as ``format(v, ".17g")``; one
+    printf-style format does each row.
     """
     if not records:
         raise ValueError("empty run")
@@ -701,21 +699,22 @@ def write_trace_csv(records: Sequence[IterationRecord], path: str) -> None:
         + [f"f{i}" for i in range(m)]
         + ["min_grad_norm", "ratio_metric", "grad_evals", "fn_evals", "stop_reason"]
     )
+    row = "%s," + f"%{TRACE_FLOAT_FORMAT}," * (n + m + 4) + "%s,%s,%s\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for r in records:
-            row = (
-                [str(r.k)]
-                + [_fmt(v) for v in r.x]
-                + [_fmt(r.alpha), _fmt(r.dir_norm)]
-                + [_fmt(v) for v in r.objective_values]
-                + [
-                    _fmt(r.min_grad_norm),
-                    _fmt(r.ratio_metric),
-                    str(r.grad_evals),
-                    str(r.fn_evals),
+            fh.write(
+                row
+                % (
+                    r.k,
+                    *r.x.tolist(),
+                    r.alpha,
+                    r.dir_norm,
+                    *r.objective_values.tolist(),
+                    r.min_grad_norm,
+                    r.ratio_metric,
+                    r.grad_evals,
+                    r.fn_evals,
                     r.stop_reason or "",
-                ]
+                )
             )
-            writer.writerow(row)

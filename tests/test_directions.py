@@ -1,6 +1,7 @@
 """Direction solvers: the central QP, the regularized min-max, helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,19 @@ class TestFloatRange:
         assert np.isfinite(out.kkt_residual)
         # absolute residual: rounding in the 1.5e308 row is about 1e292
         assert out.kkt_residual <= 1e-12 * 1.5e308
+
+    def test_multiplier_beyond_the_float_range_is_inf_without_a_warning(self):
+        # a nearly critical pair of 2**-1000-scale rows: lambda_i = 2**999 *
+        # a_i with a_i about 4e12 lies beyond the float range
+        slate = np.array([[1.0, 0.0], [-1.0, 1e-6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tiny = central_direction(np.ldexp(slate, -1000))
+        unit = central_direction(slate)
+        assert tiny.kind == DIRECTION
+        assert np.array_equal(tiny.vector, unit.vector)
+        assert np.all(np.isfinite(unit.multipliers))
+        assert np.all(np.isinf(tiny.multipliers))
 
     def test_prescale_leaves_normal_range_bits_alone(self, rng):
         for _ in range(50):

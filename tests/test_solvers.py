@@ -650,6 +650,128 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             write_trace_csv([], str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize("stop", ["MaxIter", "LineSearchStall", None])
+    def test_matches_the_csv_module_byte_for_byte(self, tmp_path, stop):
+        rng = np.random.default_rng(5)
+        shapes = [(m, int(rng.integers(1, 13))) for m in range(1, 13)]
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        for m, n in shapes + [(12, 12)]:
+            recs = synthetic_records(rng, m, n, count=6, stop=stop)
+            write_trace_csv(recs, str(fast))
+            reference_trace_csv(recs, str(slow))
+            assert fast.read_bytes() == slow.read_bytes(), (m, n)
+
+
+# every float the trace can hold that a formatter could get wrong
+SPECIAL_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.5e308,
+    -1.5e308, 1e-5, 0.1, 1.0 / 3.0, 1e16, 123456789.0,
+)
+
+
+def synthetic_records(rng, m, n, count, stop):
+    """``count`` records of an m-objective, n-dimensional run, with a mix of
+    special and random floats, as Python and as numpy floats; the last one
+    carries ``stop`` as its stop reason."""
+
+    def floats(size):
+        v = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+        pick = rng.random(size) < 0.4
+        v[pick] = rng.choice(SPECIAL_FLOATS, size=int(pick.sum()))
+        return v
+
+    recs = []
+    for k in range(1, count + 1):
+        scalars = floats(4)
+        recs.append(
+            IterationRecord(
+                k=k,
+                x=floats(n),
+                alpha=float(scalars[0]),
+                dir_norm=scalars[1],
+                objective_values=floats(m),
+                min_grad_norm=float(scalars[2]),
+                ratio_metric=scalars[3],
+                grad_evals=2 * k,
+                fn_evals=int(rng.integers(0, 10**6)),
+                stop_reason=stop if k == count else None,
+            )
+        )
+    return recs
+
+
+def reference_trace_csv(records, path):
+    """The trace writer as ``csv.writer`` rows of ``format(v, ".17g")``."""
+
+    def fmt(value):
+        return format(float(value), ".17g")
+
+    n = records[0].x.size
+    m = records[0].objective_values.size
+    header = (
+        ["k"]
+        + [f"x{d}" for d in range(n)]
+        + ["alpha", "dir_norm"]
+        + [f"f{i}" for i in range(m)]
+        + ["min_grad_norm", "ratio_metric", "grad_evals", "fn_evals", "stop_reason"]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in records:
+            writer.writerow(
+                [str(r.k)]
+                + [fmt(v) for v in r.x]
+                + [fmt(r.alpha), fmt(r.dir_norm)]
+                + [fmt(v) for v in r.objective_values]
+                + [fmt(r.min_grad_norm), fmt(r.ratio_metric)]
+                + [str(r.grad_evals), str(r.fn_evals), r.stop_reason or ""]
+            )
+
+
+class TestLedgerProperty:
+    """Ledger exactness of both incremental solvers over random problems."""
+
+    def test_queries_per_record(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(
+            st.integers(2, 12),
+            st.integers(1, 20),
+            st.integers(0, 2**16),
+            st.sampled_from(["random-unit", "warm-start"]),
+        )
+        def check(m, n, seed, slate_init):
+            problem = make_random_quadratic_family(m, n, seed)
+            x0 = np.full(n, 3.0)
+            kwargs = dict(seed=seed, slate_init=slate_init, max_iter=25)
+            armijo = run_incremental_central_armijo(problem, x0, **kwargs)
+            plain = run_incremental_central(
+                problem, x0, StepSchedule.harmonic(), **kwargs
+            )
+            # warm-start queries every gradient once before the first step
+            up_front = m if slate_init == "warm-start" else 0
+            for records, line_search in ((armijo, True), (plain, False)):
+                grads, fns = up_front, 0
+                for r in records:
+                    new_grads, new_fns = r.grad_evals - grads, r.fn_evals - fns
+                    grads, fns = r.grad_evals, r.fn_evals
+                    if r.stop_reason is not None:
+                        continue
+                    if line_search:
+                        # the pair (j, t); f_j's baseline, at least one
+                        # trial and the probe of the next t
+                        assert new_grads == 2
+                        assert new_fns >= 3
+                    else:
+                        assert (new_grads, new_fns) == (1, 0)
+                if not line_search:
+                    assert fns == 0
+
+        check()
+
 
 def per_query_diagnostics(problem, x):
     """The per-objective reference for a record's diagnostics: m single
