@@ -12,7 +12,10 @@ iteration. ``oracle.sample_field_reference`` keeps the old
 per-node loop, cold Wolfe solves throughout, as its reference.
 Streamlines integrate the normalized field with explicit Euler steps and
 halt once the local descent margin can no longer certify strict decrease
-of every objective.
+of every objective. Each step queries its m gradients in one
+``gradient_all`` call, and a central streamline warm-starts each step's
+central QP from the previous step's active set, as the incremental solvers
+do; that changes the last bits of the points, not the answer.
 """
 
 from __future__ import annotations
@@ -228,6 +231,12 @@ def trace_streamline(
     steepest field halts once ||direction|| < ``crit_tol`` (plus box exit and the step
     cap). Every recorded step of a central streamline strictly decreases
     every objective.
+
+    Each central solve after the first starts the min-norm iteration from
+    the previous solve's active set (``central_direction``'s ``start``):
+    consecutive points are one short step apart, so the corral rarely
+    changes. The cold solve is the reference the warm streamline is tested
+    against.
     """
     if field not in ("central", "steepest"):
         raise ValueError(f"unknown field {field!r}")
@@ -238,12 +247,16 @@ def trace_streamline(
     lip = _positive_lipschitz(problem)
     points = [x.copy()]
     ledger = QueryLedger.for_objectives(problem.num_objectives)
+    active: Tuple[int, ...] = ()
     for _ in range(max_steps):
         grads = gradient_all(problem, x, ledger)
         if field == "central":
             if not grads.any(axis=1).all():
                 return np.vstack(points), HALT_CRITICAL
-            outcome = central_direction(grads, tol=qp_tol, norm_cap=hard_cap)
+            outcome = central_direction(
+                grads, tol=qp_tol, norm_cap=hard_cap, start=active
+            )
+            active = outcome.active_set
             if outcome.kind == INFEASIBLE:
                 return np.vstack(points), HALT_INFEASIBLE
             if outcome.norm >= hard_cap:

@@ -155,6 +155,22 @@ def perturbation_margin(gradients: Union[Array, Sequence], radius: float) -> flo
     return (z + 1.0) / (radius + 1.0) * float(norms.min())
 
 
+def _scaled_slacks(
+    gradients: Union[Array, Sequence], v: Array
+) -> Tuple[Array, Array, Array]:
+    """Central-QP slacks s_i = g_i . v + ||g_i||, each scaled by 2**-e_i.
+
+    Returns (scaled slacks, exps, v) with s_i = 2**exps[i] * scaled[i]: the
+    slacks of the rows after the power-of-two prescale, whose signs are the
+    true ones even where s_i itself under- or overflows. Where it does not,
+    2**exps[i] * scaled[i] is g_i . v + ||g_i|| bit for bit. Raises
+    ValueError on a null or non-finite gradient.
+    """
+    scaled, norms, exps = _prescaled_rows(gradients)
+    v = np.asarray(v, dtype=float)
+    return scaled @ v + norms, exps, v
+
+
 def interior_perturbation_margin(
     gradients: Union[Array, Sequence], v: Array
 ) -> float:
@@ -162,15 +178,15 @@ def interior_perturbation_margin(
 
     Here s_i = g_i . v + ||g_i|| are the central-QP slacks; the point v must
     be strictly feasible (all s_i < 0). Perturbing every gradient by less
-    than the returned margin keeps v strictly feasible.
+    than the returned margin keeps v strictly feasible. The slacks are
+    taken after the power-of-two prescale, so tiny (1e-300) and huge
+    gradients get the verdict of unit ones; raises ValueError on a null or
+    non-finite gradient.
     """
-    grads = np.atleast_2d(np.asarray(gradients, dtype=float))
-    norms = np.linalg.norm(grads, axis=1)
-    v = np.asarray(v, dtype=float)
-    slack = grads @ v + norms
+    slack, exps, v = _scaled_slacks(gradients, v)
     if np.any(slack >= 0.0):
         raise ValueError("v is not strictly feasible")
-    return float((-slack).min() / (1.0 + np.linalg.norm(v)))
+    return float(-np.ldexp(slack, exps).max() / (1.0 + np.linalg.norm(v)))
 
 
 def exterior_perturbation_margin(
@@ -180,13 +196,13 @@ def exterior_perturbation_margin(
 
     Requires at least one positive slack s_i = g_i . v + ||g_i|| > 0. Returns
     (margin, witness) where perturbations strictly below margin keep the
-    witness constraint violated, so v stays outside the feasible set.
+    witness constraint violated, so v stays outside the feasible set. The
+    slacks are taken after the power-of-two prescale, as in
+    :func:`interior_perturbation_margin`.
     """
-    grads = np.atleast_2d(np.asarray(gradients, dtype=float))
-    norms = np.linalg.norm(grads, axis=1)
-    v = np.asarray(v, dtype=float)
-    slack = grads @ v + norms
-    witness = int(np.argmax(slack))
-    if slack[witness] <= 0.0:
+    slack, exps, v = _scaled_slacks(gradients, v)
+    violated = np.where(slack > 0.0, np.ldexp(slack, exps), -np.inf)
+    witness = int(np.argmax(violated))
+    if not slack[witness] > 0.0:
         raise ValueError("v is feasible; no violated constraint to preserve")
-    return float(slack[witness] / (1.0 + np.linalg.norm(v))), witness
+    return float(violated[witness] / (1.0 + np.linalg.norm(v))), witness

@@ -27,7 +27,7 @@ from .fields import (
     _lipschitz_min,
     _positive_lipschitz,
 )
-from .problems import MultiObjectiveProblem, QueryLedger, evaluate, gradient_all
+from .problems import MultiObjectiveProblem, QueryLedger, evaluate, gradient
 
 Array = np.ndarray
 
@@ -362,7 +362,9 @@ def sample_field_reference(
 ) -> FieldGrid:
     """:func:`~modescent.fields.sample_field`, one node at a time.
 
-    Per node: one ``gradient_all`` query, then ``steepest_direction`` and
+    Per node: one ``gradient`` query per objective (the per-objective
+    callables, so the reference shares no query code with the batched
+    ``stacked`` path), then ``steepest_direction`` and
     ``central_direction`` with the Wolfe iteration for every m (no m = 2
     closed form), cold. Channels and mask follow the same rules, with row
     norms after the power-of-two prescale and a row null only when it is
@@ -378,7 +380,10 @@ def sample_field_reference(
     ledger = QueryLedger.for_objectives(problem.num_objectives)
     for iy in range(resolution):
         for ix in range(resolution):
-            grads = gradient_all(problem, np.array([xs[ix], ys[iy]]), ledger)
+            x = np.array([xs[ix], ys[iy]])
+            grads = np.array(
+                [gradient(problem, i, x, ledger) for i in range(problem.num_objectives)]
+            )
             norms = row_norms(grads)
             min_grad[iy, ix] = norms.min()
             steepest[iy, ix] = steepest_direction(grads, wolfe=True)[1]

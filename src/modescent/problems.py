@@ -6,14 +6,16 @@ gradient evaluation is counted in a caller-owned :class:`QueryLedger`, so the
 incremental solvers can prove their per-iteration query budgets.
 
 :func:`values_and_gradients` asks for all m values and all m gradients at
-one point in a single call. It uses the problem's optional ``stacked``
-callable, a closed-form evaluation of every objective at once, and
-otherwise loops over the per-objective callables; that loop is the
-reference the stacked forms are tested against, bit for bit. Every shipped
-factory supplies ``stacked``. The solvers use it for their per-record
-diagnostics and :func:`gradients_at`, the gradients at a batch of points,
-for the planar field sampler; ``evaluate``, ``gradient`` and their
-``*_all`` forms stay on the per-objective path.
+one point in a single call, and :func:`gradients_at` for every gradient at
+each of N points. Both use the problem's optional ``stacked`` callable, a
+closed-form evaluation of every objective at once that takes points of
+shape (..., n), and otherwise loop over the per-objective callables; that
+loop is the reference the stacked forms are tested against, bit for bit.
+Every shipped factory supplies ``stacked``. :func:`gradient_all` is the
+N = 1 case of :func:`gradients_at`; the solvers use
+:func:`values_and_gradients` for their per-record diagnostics, and the
+planar field sampler and its streamlines query through
+:func:`gradients_at`. ``evaluate`` and ``gradient`` stay single queries.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ class MultiObjectiveProblem:
     name : str
         Human-readable identifier used in traces and CLI output.
     stacked : callable, optional
-        x -> (values of shape (m,), gradients of shape (m, n)): every
-        objective and gradient at once, equal bit for bit to the
-        per-objective callables. Used by :func:`values_and_gradients`;
-        without it that function loops over ``objectives``/``gradient_fns``.
+        Points of shape (..., n) -> (values of shape (..., m), gradients of
+        shape (..., m, n)): every objective and gradient at every point at
+        once, equal bit for bit to the per-objective callables point by
+        point. Used by :func:`values_and_gradients` (one point, shape (n,))
+        and :func:`gradients_at` (an (N, n) batch, in one call); without it
+        both loop over ``objectives``/``gradient_fns``.
     """
 
     dimension: int
@@ -166,10 +170,11 @@ def evaluate_all(
 def gradient_all(
     problem: MultiObjectiveProblem, x: Array, ledger: QueryLedger
 ) -> Array:
-    """All gradients at x, stacked (m, n); counts one query per objective."""
-    return np.vstack(
-        [gradient(problem, i, x, ledger) for i in range(problem.num_objectives)]
-    )
+    """All gradients at x, stacked (m, n); counts one query per objective.
+
+    The N = 1 case of :func:`gradients_at`.
+    """
+    return gradients_at(problem, _check_point(problem, x)[None], ledger)[0]
 
 
 def values_and_gradients(
@@ -206,33 +211,32 @@ def gradients_at(
 ) -> Array:
     """Every gradient at each of N points, stacked (N, m, n).
 
-    Counts m gradient queries per point and no function queries. Uses
-    ``problem.stacked`` when present (its values are dropped), otherwise the
-    per-objective gradient callables. Raises ValueError on points of the
-    wrong shape or with non-finite coordinates, and, naming the problem, on
-    gradients of the wrong shape or with non-finite entries.
+    One ``problem.stacked`` call for the batch (values dropped), else the
+    per-objective gradient callables point by point; counts m gradient
+    queries per point. Raises ValueError on bad points and, naming the
+    problem, on a failed query or wrong-shaped or non-finite gradients.
     """
     pts = np.asarray(points, dtype=float)
-    m, n = problem.num_objectives, problem.dimension
+    fns, m, n = problem.gradient_fns, problem.num_objectives, problem.dimension
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points have shape {pts.shape}, expected (N, {n})")
     if not np.isfinite(pts).all():
         raise ValueError("point has non-finite coordinates")
-    grads = np.empty((pts.shape[0], m, n))
-    for k, x in enumerate(pts):
+    try:
         if problem.stacked is not None:
-            g = np.asarray(problem.stacked(x)[1], dtype=float)
-        else:
-            g = np.asarray([gf(x) for gf in problem.gradient_fns], dtype=float)
-        if g.shape != (m, n):
-            raise ValueError(
-                f"problem {problem.name!r} returned gradients of shape"
-                f" {g.shape} at {x}, expected ({m}, {n})"
-            )
-        grads[k] = g
+            grads = problem.stacked(pts)[1]
+        else:  # an empty batch keeps the shape (0, m, n)
+            grads = [[g(x) for g in fns] for x in pts] or np.empty((0, m, n))
+        grads = np.asarray(grads, dtype=float)
+    except (IndexError, TypeError, ValueError) as exc:
+        msg = f"problem {problem.name!r} failed on points of shape {pts.shape}"
+        raise ValueError(msg) from exc
+    if grads.shape != (len(pts), m, n):
+        got = f"{grads.shape} at {len(pts)} points, expected {(len(pts), m, n)}"
+        raise ValueError(f"problem {problem.name!r} returned gradients of shape {got}")
     if not np.isfinite(grads).all():
         raise ValueError(f"problem {problem.name!r} returned non-finite gradients")
-    ledger.gradient_counts += pts.shape[0]
+    ledger.gradient_counts += len(pts)
     return grads
 
 
@@ -260,10 +264,15 @@ def make_figure1_problem() -> MultiObjectiveProblem:
         return np.array([6.0 * x[0], 2.0 * (x[1] + 2.0)])
 
     def stacked(x: Array):
-        u, v = x[0] + 2.0, x[1] + 2.0
-        values = np.array([u**2 + 3.0 * x[1] ** 2, 3.0 * x[0] ** 2 + v**2])
-        grads = np.array([[2.0 * u, 6.0 * x[1]], [6.0 * x[0], 2.0 * v]])
-        return values, grads
+        w = x + 2.0
+        # (f1, f2) = (u^2 + 3 x2^2, v^2 + 3 x1^2) with (u, v) = x + 2. The
+        # squares use float_power, the libm pow of the scalar ``**`` in f1
+        # and f2; an array ``** 2`` multiplies, which rounds differently at
+        # about one point in 1200
+        values = np.float_power(w, 2.0) + 3.0 * np.float_power(x[..., ::-1], 2.0)
+        # (2u, 6 x2, 6 x1, 2v) taken from (2u, 2v, 6 x1, 6 x2)
+        grads = np.concatenate([2.0 * w, 6.0 * x], -1)[..., [0, 3, 2, 1]]
+        return values, grads.reshape(values.shape + (2,))
 
     return MultiObjectiveProblem(
         dimension=2,
@@ -283,7 +292,9 @@ def make_scaled_variant(
 
     Gradients and Lipschitz constants scale by the same factors. The common
     lower bound is adjusted conservatively (min over kappa_i * bound). The
-    variant is stacked when the base problem is.
+    variant is stacked when the base problem is, over the same (..., n)
+    points: the factors multiply the last axis of the values and the
+    objective axis of the gradients.
     """
     kappas = tuple(float(k) for k in kappas)
     if len(kappas) != problem.num_objectives:
@@ -335,8 +346,9 @@ def make_random_quadratic_family(m: int, n: int, seed: int) -> MultiObjectivePro
     with eigenvalues drawn log-uniformly from [0.5, 5]; centers c_i are
     uniform in [-1, 1]^n. L_i equals twice the largest eigenvalue of A_i and
     every objective is bounded below by 0. The stacked form batches the
-    same products over i; numpy's matmul evaluates each batch element with
-    the kernel the single product uses, so the results agree bit for bit.
+    same products over the points and over i; numpy's matmul evaluates each
+    batch element with the kernel the single product uses, so the results
+    agree bit for bit.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 objectives and n >= 1 dimensions")
@@ -367,9 +379,9 @@ def make_random_quadratic_family(m: int, n: int, seed: int) -> MultiObjectivePro
     a_all, c_all = np.array(mats), np.array(centers)
 
     def stacked(x: Array):
-        d = x - c_all
-        values = ((d[:, None, :] @ a_all) @ d[:, :, None])[:, 0, 0]
-        return values, 2.0 * (a_all @ d[:, :, None])[:, :, 0]
+        d = x[..., None, :] - c_all
+        values = ((d[..., None, :] @ a_all) @ d[..., :, None])[..., 0, 0]
+        return values, 2.0 * (a_all @ d[..., :, None])[..., 0]
 
     return MultiObjectiveProblem(
         dimension=n,
@@ -412,8 +424,10 @@ def make_unbounded_linear_problem(m: int, n: int, seed: int) -> MultiObjectivePr
     c_all = np.array(rows)
 
     def stacked(x: Array):
-        # batched (1, n) @ (n, 1) products: the same BLAS dot as c @ x
-        return (c_all[:, None, :] @ x[:, None])[:, 0, 0], c_all.copy()
+        # batched (1, n) @ (n, 1) products: the same BLAS dot as c @ x (the
+        # gemv form c_all @ x rounds differently for m >= 3)
+        values = (c_all[:, None, :] @ x[..., None, :, None])[..., 0, 0]
+        return values, np.broadcast_to(c_all, values.shape + (n,)).copy()
 
     return MultiObjectiveProblem(
         dimension=n,

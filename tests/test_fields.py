@@ -351,6 +351,52 @@ class TestTraceStreamline:
             trace_streamline(fig1, (0.0, 0.0), field="bogus")
 
 
+WARM_CASES = [("figure1", WIDE)] + [
+    (f"random-quadratic:{m},2,{p}", QUAD_BOX) for m in (3, 4) for p in range(3)
+]
+
+
+class TestWarmStreamline:
+    """Each central solve starts from the previous solve's active set."""
+
+    def test_starts_from_the_previous_active_set(self, monkeypatch):
+        problem = problem_from_name("random-quadratic:3,2,0")
+        central = fields.central_direction
+        calls = []
+
+        def recorded(slate, **kwargs):
+            outcome = central(slate, **kwargs)
+            calls.append((kwargs.get("start"), outcome.active_set))
+            return outcome
+
+        monkeypatch.setattr(fields, "central_direction", recorded)
+        pts, _ = trace_streamline(problem, (1.0, 1.0), step=0.01, box=QUAD_BOX)
+        assert len(calls) >= len(pts) - 1 > 10
+        assert calls[0][0] == ()
+        for (_, previous), (start, _) in zip(calls, calls[1:]):
+            assert start == previous
+
+    @pytest.mark.parametrize("name, box", WARM_CASES, ids=[c[0] for c in WARM_CASES])
+    def test_matches_the_cold_streamline(self, name, box, monkeypatch):
+        problem = problem_from_name(name)
+        lo, hi = box[0]
+        starts = np.random.default_rng(11).uniform(lo, hi, size=(6, 2))
+        warm = [trace_streamline(problem, x0, step=0.01, box=box) for x0 in starts]
+        central = fields.central_direction
+
+        def cold(slate, start=(), **kwargs):
+            return central(slate, **kwargs)
+
+        monkeypatch.setattr(fields, "central_direction", cold)
+        ledger = QueryLedger.for_objectives(problem.num_objectives)
+        for x0, (pts, halt) in zip(starts, warm):
+            ref, ref_halt = trace_streamline(problem, x0, step=0.01, box=box)
+            assert (halt, len(pts)) == (ref_halt, len(ref))
+            assert np.abs(pts - ref).max() <= 1e-12
+            values = np.array([evaluate_all(problem, x, ledger) for x in pts])
+            assert (np.diff(values, axis=0) < 0.0).all()
+
+
 class TestStreamlinesCsv:
     def test_format(self, fig1, tmp_path):
         # takes (points, halt) pairs exactly as trace_streamline returns them

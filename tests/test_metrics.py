@@ -8,6 +8,7 @@ import pytest
 from modescent import (
     alignment_gap,
     angular_sweep_alignment_gap,
+    central_direction,
     exterior_perturbation_margin,
     interior_perturbation_margin,
     make_figure1_problem,
@@ -287,3 +288,30 @@ class TestPointwiseMargins:
     def test_exterior_requires_a_violated_constraint(self):
         with pytest.raises(ValueError):
             exterior_perturbation_margin(ORTH, np.array([-1.5, -1.5]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 2.0**-1000])
+    def test_extreme_scales_keep_the_unit_verdicts(self, scale):
+        # the central optimum V is scale invariant, and raw norms of 1e-300
+        # rows underflow to 0, so the slacks must come from the prescale
+        unit = np.array([[2.0, 0.0], [1.0, 1.0]])
+        slate = scale * unit
+        v = central_direction(unit).vector
+        for gradients in (unit, slate):
+            with pytest.raises(ValueError, match="not strictly feasible"):
+                interior_perturbation_margin(gradients, v)
+        margin, witness = exterior_perturbation_margin(unit, 0.5 * v)
+        assert (round(margin, 3), witness) == (0.649, 0)
+        scaled_margin, scaled_witness = exterior_perturbation_margin(slate, 0.5 * v)
+        assert scaled_witness == witness
+        assert scaled_margin == pytest.approx(scale * margin, rel=1e-14)
+        inside = interior_perturbation_margin(unit, 1.5 * v)
+        assert interior_perturbation_margin(slate, 1.5 * v) == pytest.approx(
+            scale * inside, rel=1e-14
+        )
+
+    def test_null_gradients_raise(self):
+        slate = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="null gradient"):
+            interior_perturbation_margin(slate, np.array([-1.0, -1.0]))
+        with pytest.raises(ValueError, match="null gradient"):
+            exterior_perturbation_margin(slate, np.array([1.0, 1.0]))

@@ -488,12 +488,20 @@ class TestGradientsAt:
         calls = []
 
         def stacked(x):
-            calls.append(x)
+            calls.append(x.shape)
             return fig1.stacked(x)
 
         problem = dataclasses.replace(fig1, stacked=stacked)
-        gradients_at(problem, np.zeros((7, 2)), QueryLedger.for_objectives(2))
-        assert len(calls) == 7
+        gx, gy = np.meshgrid(np.linspace(-3, 1, 30), np.linspace(-3, 1, 30))
+        ledger = QueryLedger.for_objectives(2)
+        gradients_at(problem, np.stack([gx.ravel(), gy.ravel()], 1), ledger)
+        assert calls == [(900, 2)]
+        # the ledger still counts m gradient queries per point
+        assert ledger.gradient_counts.tolist() == [900, 900]
+        assert ledger.function_evals == 0
+        gradient_all(problem, np.zeros(2), ledger)
+        assert calls[-1] == (1, 2)
+        assert ledger.gradient_counts.tolist() == [901, 901]
 
     @pytest.mark.parametrize(
         "points",
@@ -516,9 +524,120 @@ class TestGradientsAt:
         # a non-finite gradient at the second node only
         bad = dataclasses.replace(
             fig1,
-            stacked=lambda x: (np.zeros(2), np.full((2, 2), np.inf if x[0] else 1.0)),
+            stacked=lambda x: (
+                np.zeros(x.shape[:-1] + (2,)),
+                np.where(x[..., :1, None] != 0.0, np.inf, np.ones((len(x), 2, 2))),
+            ),
             name="blowup",
         )
         with pytest.raises(ValueError, match="'blowup' returned non-finite"):
             gradients_at(bad, points, ledger)
         assert ledger.gradient_evals == 0
+
+    def test_single_point_stacked_raises_by_name(self, fig1):
+        rq = problem_from_name("random-quadratic:3,2,0")
+        rows = np.ones((3, 2))
+
+        def figure1_one_point(x):
+            # indexes x as one point: on a batch, x[0] is the first point
+            u, v = x[0] + 2.0, x[1] + 2.0
+            return np.zeros(2), np.array([[2.0 * u, 6.0 * x[1]], [6.0 * x[0], 2.0 * v]])
+
+        def broadcasts_one_point(x):
+            # (N, 2) against (3, 2): broadcasts only for N = 1
+            return np.zeros(3), x - rows
+
+        points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(7, 2))
+        for problem in (
+            dataclasses.replace(fig1, stacked=figure1_one_point, name="one-point"),
+            dataclasses.replace(rq, stacked=broadcasts_one_point, name="one-point"),
+        ):
+            ledger = QueryLedger.for_objectives(problem.num_objectives)
+            with pytest.raises(ValueError, match="'one-point'"):
+                gradients_at(problem, points, ledger)
+            with pytest.raises(ValueError, match="'one-point'"):
+                gradient_all(problem, points[0], ledger)
+            assert ledger.gradient_evals == 0
+
+
+def int64_bits(a):
+    """The float64 bits as int64 lists: a failed comparison shows which differ."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return a.shape, a.view(np.int64).tolist()
+
+
+BATCHED_PROBLEMS = [
+    problem_from_name(name)
+    for name in (
+        "figure1",
+        "figure1-scaled:1e-300,1",
+        "random-quadratic:3,2,0",
+        "random-quadratic:10,20,1",
+        "random-quadratic:50,100,2",
+        "linear-decline:3,2,0",
+        "linear-decline:10,20,1",
+    )
+]
+
+
+class TestBatchedStacked:
+    """Every shipped ``stacked`` over (..., n) points, bit for bit."""
+
+    @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("count", [0, 1, 60])
+    def test_batch_equals_the_per_objective_callables(self, problem, count):
+        # the random-quadratic and linear-decline forms batch numpy matmuls
+        # over the points and the objectives; each batch element must round
+        # like the single product of its per-objective callable
+        m, n = problem.num_objectives, problem.dimension
+        rng = np.random.default_rng(count + 17 * m + n)
+        points = rng.normal(size=(count, n)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+        values, grads = problem.stacked(points)
+        assert values.shape == (count, m) and grads.shape == (count, m, n)
+        for x, row, g in zip(points, values, grads):
+            ref = [float(f(x)) for f in problem.objectives]
+            ref_grads = np.array([gf(x) for gf in problem.gradient_fns])
+            assert int64_bits(row) == int64_bits(ref)
+            assert int64_bits(g) == int64_bits(ref_grads)
+
+    def test_figure1_squares_round_like_the_scalar_power(self, fig1):
+        # the scalar ``t ** 2`` of f1 and f2 is libm pow, which rounds unlike
+        # t * t at about one t in 1200; the batch must round like the scalar
+        t = np.random.default_rng(8).normal(size=20000) * 3.0
+        odd = t[[np.float64(v) ** 2 != v * v for v in t]]
+        assert len(odd) > 5
+        points = np.stack([odd, odd], 1)
+        values = fig1.stacked(points)[0]
+        ref = [[float(f(x)) for f in fig1.objectives] for x in points]
+        assert int64_bits(values) == int64_bits(ref)
+
+    @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
+    def test_grid_batches_and_single_points_agree(self, problem):
+        m, n = problem.num_objectives, problem.dimension
+        points = np.random.default_rng(3).uniform(-3.0, 1.0, size=(6, 5, n))
+        values, grads = problem.stacked(points)
+        assert values.shape == (6, 5, m) and grads.shape == (6, 5, m, n)
+        flat_values, flat_grads = problem.stacked(points.reshape(30, n))
+        assert int64_bits(values.reshape(30, m)) == int64_bits(flat_values)
+        assert int64_bits(grads.reshape(30, m, n)) == int64_bits(flat_grads)
+        for k, x in enumerate(points.reshape(30, n)):
+            one_values, one_grads = problem.stacked(x)
+            assert int64_bits(one_values) == int64_bits(flat_values[k])
+            assert int64_bits(one_grads) == int64_bits(flat_grads[k])
+
+    @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("count", [0, 1, 60])
+    def test_queries_equal_the_unstacked_loop(self, problem, count):
+        m, n = problem.num_objectives, problem.dimension
+        loop = dataclasses.replace(problem, stacked=None)
+        points = np.random.default_rng(count).uniform(-3.0, 1.0, size=(count, n))
+        ledger = QueryLedger.for_objectives(m)
+        loop_ledger = QueryLedger.for_objectives(m)
+        grads = gradients_at(problem, points, ledger)
+        assert int64_bits(grads) == int64_bits(gradients_at(loop, points, loop_ledger))
+        for x, g in zip(points, grads):
+            assert int64_bits(gradient_all(problem, x, ledger)) == int64_bits(g)
+            assert int64_bits(gradient_all(loop, x, loop_ledger)) == int64_bits(g)
+        assert ledger.gradient_counts.tolist() == [2 * count] * m
+        assert loop_ledger.gradient_counts.tolist() == [2 * count] * m
+        assert ledger.function_evals == loop_ledger.function_evals == 0
