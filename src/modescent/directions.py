@@ -172,7 +172,9 @@ def _segment_min_norm(p: Array, q: Array) -> Tuple[Array, Array]:
     its relative accuracy. A clipped w returns the endpoint itself. For unit
     p and q, t is 0 up to rounding and x their midpoint; p == q gives w = 0,
     the first vertex, as the Wolfe iteration's lowest-index tie-break does.
-    Exact to rounding, so it needs no optimality gap.
+    Exact to rounding, so it needs no optimality gap. This batched form is
+    the field sampler's kernel and the reference of the single-pair
+    :func:`_pair_min_norm`.
     """
     c = 0.5 * (p + q)
     d = p - q
@@ -181,6 +183,26 @@ def _segment_min_norm(p: Array, q: Array) -> Tuple[Array, Array]:
     t = np.clip(t, -0.5, 0.5)[..., None]
     x = np.where(t == -0.5, p, np.where(t == 0.5, q, c - t * d))
     return x, 0.5 + t[..., 0]
+
+
+def _pair_min_norm(p: Array, q: Array) -> Tuple[Array, float]:
+    """:func:`_segment_min_norm` of one pair of 1-D rows, bit for bit.
+
+    The same operations on the same operands, with the scalars t and w as
+    Python floats instead of broadcast arrays, which leaves a few numpy
+    calls per pair instead of about twenty. A clipped w returns the
+    endpoint row itself.
+    """
+    c = 0.5 * (p + q)
+    d = p - q
+    dd = float(d @ d)
+    t = float(c @ d) / dd if dd > 0.0 else -0.5
+    t = min(max(t, -0.5), 0.5)
+    if t == -0.5:
+        return p, 0.0
+    if t == 0.5:
+        return q, 1.0
+    return c - t * d, 0.5 + t
 
 
 def _start_indices(start: Sequence[int], m: int) -> List[int]:
@@ -196,19 +218,19 @@ def _min_norm_point(
 ) -> Tuple[Array, Array, List[int]]:
     """Minimum-norm point of conv{rows of points}.
 
-    Two rows take the closed form of :func:`_segment_min_norm`; there
-    ``start`` is validated and has nothing left to do. Every other m, and
-    m = 2 with ``wolfe`` set, runs :func:`_wolfe_min_norm_point`, the
-    reference the closed form is tested against. Returns (x, weights,
-    support) as that function does.
+    Two rows take the closed form of :func:`_segment_min_norm`, in its
+    single-pair form :func:`_pair_min_norm`; there ``start`` is validated
+    and has nothing left to do. Every other m, and m = 2 with ``wolfe``
+    set, runs :func:`_wolfe_min_norm_point`, the reference the closed form
+    is tested against. Returns (x, weights, support) as that function does.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] != 2 or wolfe:
         return _wolfe_min_norm_point(pts, start)
     _start_indices(start, 2)
-    x, w = _segment_min_norm(pts[0], pts[1])
-    weights = np.array([1.0 - w, w])
-    return x, weights, [i for i in (0, 1) if weights[i] > 0.0]
+    x, w = _pair_min_norm(pts[0], pts[1])
+    weights = (1.0 - w, w)
+    return x, np.array(weights), [i for i in (0, 1) if weights[i] > 0.0]
 
 
 def _min_norm_points(stack: Array) -> Array:
@@ -565,7 +587,8 @@ def central_direction(
             kkt_residual=delta,
         )
     delta2 = delta * delta
-    v = -x / delta2
+    # -x / delta2 bit for bit: rounding is symmetric in the sign
+    v = x / -delta2
     vnorm = math.sqrt(v @ v)
     # mu is zero off the support, so its positive entries are the support
     # vertices with positive weight, in increasing order
@@ -573,8 +596,13 @@ def central_direction(
     # the certificate is formed in the scaled rows: lambda_i = 2**-e_i * a_i
     # and slack_i = 2**e_i * scaled_slack_i, so lambda_i g_i = a_i scaled_i and
     # lambda_i slack_i = a_i scaled_slack_i stay finite for any finite slate
-    a = mu[active] / (delta2 * scaled_norms[active])
-    shift = -exps[active]
+    scaled_slack = scaled @ v + scaled_norms
+    if len(active) == len(mu):  # every row active: no row selection
+        rows, a = scaled, mu / (delta2 * scaled_norms)
+        shift, slack = -exps, scaled_slack
+    else:
+        rows, a = scaled[active], mu[active] / (delta2 * scaled_norms[active])
+        shift, slack = -exps[active], scaled_slack[active]
     # mu_i <= 1 and scaled_norms_i >= 1/2 give a_i <= 2**(3 - 2E) for
     # delta in [2**(E-1), 2**E), so lambda_i can leave the float range only
     # for a row scaled up by more than 2**(1020 + 2E), a tiny gradient; its
@@ -584,12 +612,11 @@ def central_direction(
             lambdas = np.ldexp(a, shift)
     else:
         lambdas = np.ldexp(a, shift)
-    scaled_slack = scaled @ v + scaled_norms
-    primal = max(float(np.ldexp(scaled_slack, exps).max()), 0.0)
+    primal = max(float(np.maximum.reduce(np.ldexp(scaled_slack, exps))), 0.0)
     if len(active):
-        r = v + scaled[active].T @ a
+        r = v + rows.T @ a
         stationarity = math.sqrt(r @ r)
-        complementarity = float(np.abs(a * scaled_slack[active]).max())
+        complementarity = float(np.maximum.reduce(np.abs(a * slack)))
     else:
         stationarity, complementarity = math.inf, 0.0
     return DirectionOutcome(

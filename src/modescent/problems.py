@@ -172,9 +172,10 @@ def gradient_all(
 ) -> Array:
     """All gradients at x, stacked (m, n); counts one query per objective.
 
-    The N = 1 case of :func:`gradients_at`.
+    The N = 1 case of :func:`gradients_at`, with the point checked once.
     """
-    return gradients_at(problem, _check_point(problem, x)[None], ledger)[0]
+    x = _check_point(problem, x)
+    return _checked_gradients_at(problem, x[None], ledger)[0]
 
 
 def values_and_gradients(
@@ -217,11 +218,19 @@ def gradients_at(
     problem, on a failed query or wrong-shaped or non-finite gradients.
     """
     pts = np.asarray(points, dtype=float)
-    fns, m, n = problem.gradient_fns, problem.num_objectives, problem.dimension
+    n = problem.dimension
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points have shape {pts.shape}, expected (N, {n})")
     if not np.isfinite(pts).all():
         raise ValueError("point has non-finite coordinates")
+    return _checked_gradients_at(problem, pts, ledger)
+
+
+def _checked_gradients_at(
+    problem: MultiObjectiveProblem, pts: Array, ledger: QueryLedger
+) -> Array:
+    """:func:`gradients_at` of an already checked float (N, n) batch."""
+    fns, m, n = problem.gradient_fns, problem.num_objectives, problem.dimension
     try:
         if problem.stacked is not None:
             grads = problem.stacked(pts)[1]

@@ -288,6 +288,71 @@ class TestFloatRange:
                 )
                 assert out.kkt_residual == residual
 
+    def test_outcome_is_the_reference_formulas_bit_for_bit(self, rng):
+        # the certificate written out one quantity per line, with the
+        # broadcast kernel for two rows; every slate size, active sets with
+        # and without zero weights, infeasible slates, rows at 2**-1070 to
+        # 2**1020
+        def reference(slate):
+            scaled, norms, exps = directions._prescaled_rows(slate)
+            unit = scaled / norms[:, None]
+            if len(slate) == 2:
+                x, w = directions._segment_min_norm(unit[0], unit[1])
+                mu = np.array([1.0 - w, w])
+            else:
+                x, mu, _ = directions._wolfe_min_norm_point(unit)
+            delta = math.sqrt(x @ x)
+            if delta <= directions.DEFAULT_TOL:
+                return (INFEASIBLE, None, math.inf, (), None, False, mu, delta)
+            delta2 = delta * delta
+            v = -x / delta2
+            vnorm = math.sqrt(v @ v)
+            active = (mu > 0.0).nonzero()[0]
+            a = mu[active] / (delta2 * norms[active])
+            lambdas = np.ldexp(a, -exps[active])
+            slack = scaled @ v + norms
+            primal = max(float(np.ldexp(slack, exps).max()), 0.0)
+            r = v + scaled[active].T @ a
+            stationarity = math.sqrt(r @ r)
+            complementarity = float(np.abs(a * slack[active]).max())
+            return (DIRECTION, v, vnorm, tuple(active.tolist()), lambdas,
+                    vnorm > directions.DEFAULT_NORM_CAP, None,
+                    max(primal, stationarity, complementarity))
+
+        names = ("kind", "vector", "norm", "active_set", "multipliers",
+                  "norm_capped", "certificate", "kkt_residual")
+        kinds = set()
+        for case in range(1500):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            slate = rng.normal(size=(m, n))
+            if case % 4 == 1 and m > 1:
+                slate[-1] = 2.0 * slate[0]  # a duplicated row: zero weight
+            elif case % 4 == 2 and m > 1:
+                slate[-1] = -0.5 * slate[0]  # opposed: infeasible
+            slate = np.ldexp(slate, rng.integers(-1070, 1021, (m, 1)))
+            if not np.abs(slate).max(axis=1).all():
+                continue
+            with np.errstate(over="ignore"):
+                try:
+                    ref = reference(slate)
+                except DirectionSolverError as exc:
+                    # two rows nearly equal after rounding: Wolfe can run out
+                    with pytest.raises(DirectionSolverError, match=str(exc)[:30]):
+                        central_direction(slate)
+                    continue
+                out = central_direction(slate)
+            kinds.add((out.kind, len(out.active_set) == m))
+            for name, expected in zip(names, ref):
+                got = getattr(out, name)
+                if isinstance(expected, np.ndarray):
+                    assert _same_bits(got, expected), (case, name)
+                elif isinstance(expected, float):
+                    assert _same_bits(np.float64(got), np.float64(expected))
+                else:
+                    assert got == expected, (case, name)
+        # feasible with every row active, with some rows inactive, infeasible
+        assert {(DIRECTION, True), (DIRECTION, False), (INFEASIBLE, False)} <= kinds
+
 
 class TestMinNormKernel:
     def test_corral_loop_running_out_raises(self, monkeypatch):
@@ -421,6 +486,74 @@ class TestClosedForm:
         same = central_direction(np.array([[1.0, 2.0], [2.0, 4.0]]))
         assert same.active_set == (0,)
         assert same.vector == pytest.approx(-np.array([1.0, 2.0]) / math.sqrt(5.0))
+
+
+def _pair_stack(rng, n, count):
+    """Seeded (count, 2, n) pairs: generic, opposed, identical, duplicated up
+    to a positive factor, near-parallel (1e-8 apart) or nearly opposed; each
+    with largest entry 2**-1070 (subnormal entries), 1 or 2**1020. Pairs
+    whose subnormal scaling rounds a row to zero are dropped."""
+    p = rng.normal(size=(count, n))
+    q = rng.normal(size=(count, n))
+    kind = np.arange(count) % 6
+    factor = rng.uniform(0.1, 10.0, (count, 1))
+    noise = 1e-8 * rng.normal(size=(count, n))
+    q = np.where(kind[:, None] == 1, -factor * p, q)
+    q = np.where(kind[:, None] == 2, p, q)
+    q = np.where(kind[:, None] == 3, factor * p, q)
+    q = np.where(kind[:, None] == 4, p + noise, q)
+    q = np.where(kind[:, None] == 5, -p + noise, q)
+    stack = np.stack([p, q], axis=1)
+    stack /= np.abs(stack).max(axis=(1, 2), keepdims=True)
+    stack = np.ldexp(stack, rng.choice([-1070, 0, 1020], (count, 1, 1)))
+    return stack[np.abs(stack).max(axis=2).min(axis=1) > 0.0]
+
+
+class TestPairMinNorm:
+    """The single-pair closed form against the broadcast kernel, its
+    reference, bit for bit."""
+
+    def test_matches_the_broadcast_kernel(self):
+        rng = np.random.default_rng(41)
+        pairs = 0
+        for n in range(1, 7):
+            # the two stacks the QPs hand the kernel: the slate scaled by
+            # 2**-e for its largest entry (steepest) and its unit rows
+            # after the power-of-two prescale (central)
+            steepest, central = _qp_stacks(_pair_stack(rng, n, 1000))
+            for stack in (steepest, central):
+                x_ref, w_ref = directions._segment_min_norm(stack[:, 0], stack[:, 1])
+                for k, (p, q) in enumerate(stack):
+                    x, w = directions._pair_min_norm(p, q)
+                    assert type(w) is float
+                    assert _same_bits(np.asarray(x), x_ref[k]), (n, k)
+                    assert _same_bits(np.float64(w), w_ref[k]), (n, k)
+                    pairs += 1
+        assert pairs >= 10000
+
+    def test_identical_rows_give_the_first_vertex(self):
+        p = np.array([0.6, -0.8])
+        for q in (p, p.copy()):
+            x, w = directions._pair_min_norm(p, q)
+            assert w == 0.0 and _same_bits(x, p)
+        x, w, support = directions._min_norm_point(np.stack([p, p]))
+        assert support == [0] and w.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "slate, vertex",
+        [([[1.0, 0.0], [1.0, 1e-8]], 0), ([[3.0, 4.0], [3.0, 4.0 + 1e-8]], 1)],
+    )
+    def test_near_parallel_unit_rows_keep_their_vertex(self, slate, vertex):
+        # two unit rows about 1e-8 apart: rounding clips t to a vertex where
+        # the midpoint is the exact answer; the single-pair form keeps the
+        # vertex of the broadcast kernel
+        scaled, norms, _ = directions._scaled_row_norms(np.array(slate))
+        unit = scaled / norms[:, None]
+        x_ref, w_ref = directions._segment_min_norm(unit[0], unit[1])
+        x, w = directions._pair_min_norm(unit[0], unit[1])
+        assert w == w_ref == float(vertex)
+        assert _same_bits(x, unit[vertex]) and _same_bits(x_ref, unit[vertex])
+        assert central_direction(np.array(slate)).active_set == (vertex,)
 
 
 def _corral_stack(rng, m, n, count):

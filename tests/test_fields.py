@@ -230,31 +230,63 @@ class TestFieldCsv:
         assert float(row[2]) == grid41.channels["min_grad_norm"][iy, ix]
         assert row[5] == str(int(grid41.mask[iy, ix]))
 
+    @staticmethod
+    def per_cell_csv(grid, names=FieldGrid.CHANNEL_ORDER):
+        """The reference writer: every cell formatted on its own."""
+        meta = json.dumps({"box": grid.box, "resolution": grid.resolution},
+                          sort_keys=True)
+        lines = [f"# {meta}", ",".join(["x", "y", *names, "critical_mask"])]
+        for iy in range(len(grid.ys)):
+            for ix in range(len(grid.xs)):
+                cells = [grid.xs[ix], grid.ys[iy]]
+                cells += [grid.channels[c][iy, ix] for c in names]
+                lines.append(
+                    ",".join([format(float(v), ".17g") for v in cells]
+                             + [str(int(grid.mask[iy, ix]))])
+                )
+        return "\n".join(lines) + "\n"
+
     def test_cells_are_formatted_one_by_one(self, tmp_path):
-        values = np.array([[0.1, -0.0], [np.inf, 1e-300], [2.0 / 3.0, 5e-324]])
+        # 3 rows of 4 nodes: non-square, signed zeros, the smallest
+        # subnormal, nan and infinities in the channels, a row with every
+        # node masked and one with none
+        values = np.array([
+            [0.1, -0.0, np.nan, 1.5e308],
+            [np.inf, 1e-300, -np.inf, 5e-324],
+            [2.0 / 3.0, 5e-324, -1.0, 0.0],
+        ])
+        mask = np.array([[True] * 4, [False, True, False, True], [False] * 4])
         grid = FieldGrid(
-            box=[(0.0, 1.0), (0.0, 2.0)],
-            resolution=2,
-            xs=np.array([0.0, 1.0 / 3.0]),
-            ys=np.array([0.0, 1.0, 2.0]),
+            box=[(-0.0, 1.0), (0.0, 2.0)],
+            resolution=4,
+            xs=np.array([-0.0, 5e-324, 1.0 / 3.0, 1.0]),
+            ys=np.array([5e-324, -0.0, 2.0]),
             channels={"min_grad_norm": values, "central_norm": -values,
-                      "steepest_value": values.T.reshape(3, 2)},
-            mask=values > 0.5,
+                      "steepest_value": values[::-1, ::-1].copy()},
+            mask=mask,
         )
-        path = tmp_path / "cells.csv"
-        grid.to_csv(str(path))
+        for names in (
+            FieldGrid.CHANNEL_ORDER,
+            ("steepest_value", "min_grad_norm"),
+            ("central_norm",),
+            (),
+        ):
+            path = tmp_path / "cells.csv"
+            grid.to_csv(str(path), channels=list(names))
+            assert path.read_bytes() == self.per_cell_csv(grid, names).encode()
         rows = path.read_text().splitlines()[2:]
-        expected = [
-            ",".join(
-                [format(float(grid.xs[ix]), ".17g"), format(float(grid.ys[iy]), ".17g")]
-                + [format(float(grid.channels[c][iy, ix]), ".17g")
-                   for c in FieldGrid.CHANNEL_ORDER]
-                + [str(int(grid.mask[iy, ix]))]
-            )
-            for iy in range(3)
-            for ix in range(2)
+        assert rows[:4] == ["-0,4.9406564584124654e-324,1"] + [
+            "4.9406564584124654e-324,4.9406564584124654e-324,1",
+            "0.33333333333333331,4.9406564584124654e-324,1",
+            "1,4.9406564584124654e-324,1",
         ]
-        assert rows == expected
+
+    def test_figure1_grid_is_the_per_cell_writer_byte_for_byte(self, tmp_path):
+        grid = sample_field(make_figure1_problem(), ((-3.0, 1.0), (-3.0, 1.0)), 80)
+        assert grid.mask.any() and not grid.mask.all()
+        path = tmp_path / "figure1.csv"
+        grid.to_csv(str(path))
+        assert path.read_bytes() == self.per_cell_csv(grid).encode()
 
     def test_channel_subset_and_unknown(self, grid41, tmp_path):
         path = tmp_path / "subset.csv"
@@ -340,6 +372,16 @@ class TestTraceStreamline:
         assert halt in ("max-steps", "infeasible", "norm-cap")
         assert len(pts) > 142
 
+    def test_lipschitz_min_skips_zero_constants(self):
+        values = np.array([[1.0, -3.0, 2.0], [-0.5, 4.0, -7.0]])
+        # a zero constant (a linear objective) drops out of the min
+        mixed = fields._lipschitz_min(values, np.array([0.0, 2.0, 4.0]))
+        assert mixed.tolist() == [-1.5, -1.75]
+        assert fields._lipschitz_min(values[0], np.array([2.0, 0.0, 0.0])) == 0.5
+        # with every constant positive, the quotients over the last axis
+        lip = np.array([6.0, 0.1, 3.0])
+        assert np.array_equal(fields._lipschitz_min(values, lip), (values / lip).min(1))
+
     def test_traces_in_higher_dimensions(self):
         prob = make_unbounded_linear_problem(2, 3, seed=1)
         pts, halt = trace_streamline(prob, np.zeros(3), step=0.05, max_steps=50)
@@ -412,6 +454,20 @@ class TestStreamlinesCsv:
         assert float(first[2]) == a[0][0, 0] and float(first[3]) == a[0][0, 1]
         last = lines[-1].split(",")
         assert last[0] == "1" and int(last[1]) == len(b[0]) - 1
+        # byte for byte the per-coordinate format() writer, also on signed
+        # zeros, the smallest subnormal and huge coordinates
+        edge = np.array([[-0.0, 5e-324], [1.5e308, -1.5e308], [0.1, -5e-324]])
+        streamlines = [a, (edge, "max-steps"), b]
+        write_streamlines_csv(streamlines, str(path))
+        expected = "id,step,x,y\n" + "".join(
+            f"{sid},{s},"
+            f"{format(float(points[s, 0]), '.17g')},"
+            f"{format(float(points[s, 1]), '.17g')}\n"
+            for sid, (points, _) in enumerate(streamlines)
+            for s in range(points.shape[0])
+        )
+        assert path.read_bytes() == expected.encode()
+        assert "1,0,-0,4.9406564584124654e-324\n" in expected
 
     def test_rejects_empty_and_non_planar(self, tmp_path):
         with pytest.raises(ValueError):

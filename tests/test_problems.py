@@ -21,6 +21,7 @@ from modescent import (
     validate_problem,
     values_and_gradients,
 )
+from modescent import problems
 
 
 class TestFigure1:
@@ -512,6 +513,41 @@ class TestGradientsAt:
         with pytest.raises(ValueError, match="point"):
             gradients_at(fig1, np.array(points), ledger)
         assert ledger.gradient_evals == 0
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([0.0, 0.0, 0.0], r"point has shape \(3,\), expected \(2,\)"),
+            ([[0.0, 0.0]], r"point has shape \(1, 2\), expected \(2,\)"),
+            ([np.nan, 0.0], "point has non-finite coordinates"),
+            ([0.0, -np.inf], "point has non-finite coordinates"),
+        ],
+    )
+    def test_gradient_all_rejects_bad_points(self, fig1, x, message):
+        ledger = QueryLedger.for_objectives(2)
+        with pytest.raises(ValueError, match=message):
+            gradient_all(fig1, np.array(x), ledger)
+        assert ledger.gradient_evals == 0
+
+    def test_gradient_all_checks_its_point_once(self, fig1, monkeypatch):
+        # the checked point goes straight to the query, not through the
+        # batch checks of gradients_at
+        ledger = QueryLedger.for_objectives(2)
+        checks = []
+        check_point = problems._check_point
+
+        def counted(problem, point):
+            checks.append(point)
+            return check_point(problem, point)
+
+        def unchecked(*args):
+            raise AssertionError("gradients_at re-checks the point")
+
+        monkeypatch.setattr(problems, "_check_point", counted)
+        monkeypatch.setattr(problems, "gradients_at", unchecked)
+        g = gradient_all(fig1, np.array([1.0, -1.0]), ledger)
+        assert g.tolist() == [[6.0, -6.0], [6.0, 2.0]] and len(checks) == 1
+        assert ledger.gradient_counts.tolist() == [1, 1]
 
     def test_bad_gradients_raise_by_name(self, fig1):
         points = np.array([[0.0, 0.0], [1.0, 1.0]])
