@@ -64,7 +64,6 @@ from .solvers import (
     BRANCH_VANISHING,
     IterationRecord,
     StepSchedule,
-    armijo_backtrack,
     classify_run,
     run_full_steepest,
     run_incremental_aggregated,
@@ -95,7 +94,6 @@ __all__ = [
     "alignment_gap",
     "angular_sweep_alignment_gap",
     "angular_sweep_feasible",
-    "armijo_backtrack",
     "brute_force_central",
     "central_direction",
     "classify_run",

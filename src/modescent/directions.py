@@ -54,8 +54,12 @@ Array = np.ndarray
 DIRECTION = "direction"
 INFEASIBLE = "infeasible"
 
-DEFAULT_TOL = 1e-9
-DEFAULT_NORM_CAP = 1e6
+# The two criticality checks of the central QP, fixed for every caller: a
+# slate is critical (infeasible) when the min-norm point of its unit rows
+# is at most QP_TOL from the origin, and nearly critical (``norm_capped``)
+# when the direction norm 1/delta exceeds NORM_CAP.
+QP_TOL = 1e-9
+NORM_CAP = 1e6
 
 # absolute optimality gap at which the min-norm iteration stops
 _OPT_TOL = 1e-12
@@ -115,9 +119,11 @@ class DirectionOutcome:
     kind is "direction" or "infeasible". For "direction", ``vector``
     solves the QP, ``active_set``/``multipliers`` describe the KKT
     certificate (V = -sum multipliers[i] * slate[i] over the active set) and
-    ``norm_capped`` flags feasible solves whose norm exceeds the cap. For "infeasible", ``certificate`` holds simplex weights mu with
-    ||sum mu_i g_i/||g_i|| || <= tol, i.e. zero in the hull of normalized
-    gradients.
+    ``norm_capped`` flags feasible solves whose norm exceeds ``NORM_CAP``.
+
+    For "infeasible", ``certificate`` holds simplex weights mu with
+    ||sum mu_i g_i/||g_i|| || <= ``QP_TOL``, i.e. zero in the hull of
+    normalized gradients.
     """
 
     kind: str
@@ -547,8 +553,6 @@ def _prescaled_rows(
 
 def central_direction(
     slate: Union[GradientSlate, Array, Sequence],
-    tol: float = DEFAULT_TOL,
-    norm_cap: float = DEFAULT_NORM_CAP,
     start: Sequence[int] = (),
     wolfe: bool = False,
 ) -> DirectionOutcome:
@@ -556,9 +560,10 @@ def central_direction(
 
     Returns a "direction" outcome with KKT data, or an "infeasible" outcome
     whose certificate is a convex combination of the normalized gradients
-    with norm <= tol (zero in their hull: the point is critical). Feasible
-    solves whose norm exceeds ``norm_cap`` keep kind "direction" but set
-    ``norm_capped`` (nearly critical; treat downstream like a blow-up).
+    with norm <= ``QP_TOL`` (zero in their hull: the point is critical).
+    Feasible solves whose norm exceeds ``NORM_CAP`` keep kind "direction"
+    but set ``norm_capped`` (nearly critical; treat downstream like a
+    blow-up).
 
     ``start`` warm-starts the min-norm iteration from a corral of slate
     indices, typically the ``active_set`` of the previous solve when only a
@@ -569,16 +574,14 @@ def central_direction(
     ignores ``start``; ``wolfe`` runs the Wolfe iteration there instead,
     the reference the closed form is tested against.
 
-    Raises ValueError on a null slate entry, a non-finite slate, nonpositive
-    tol or a start index outside the slate.
+    Raises ValueError on a null slate entry, a non-finite slate or a start
+    index outside the slate.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     scaled, scaled_norms, exps = _prescaled_rows(slate)
     x, mu, _ = _min_norm_point(scaled / scaled_norms[:, None], start, wolfe)
     # the 1-D norms are np.linalg.norm's sqrt(x . x), without its dispatch
     delta = math.sqrt(x @ x)
-    if delta <= tol:
+    if delta <= QP_TOL:
         return DirectionOutcome(
             kind=INFEASIBLE,
             vector=None,
@@ -625,7 +628,7 @@ def central_direction(
         norm=vnorm,
         active_set=tuple(active.tolist()),
         multipliers=lambdas,
-        norm_capped=bool(vnorm > norm_cap),
+        norm_capped=bool(vnorm > NORM_CAP),
         certificate=None,
         kkt_residual=max(primal, stationarity, complementarity),
     )
@@ -661,13 +664,11 @@ def steepest_direction(
     return v, -0.5 * float(v @ v)
 
 
-def _stacked_qp_values(
-    grads: Array, tol: float = DEFAULT_TOL
-) -> Tuple[Array, Array, Array]:
+def _stacked_qp_values(grads: Array) -> Tuple[Array, Array, Array]:
     """Row norms, steepest values and central norms of an (N, m, n) stack.
 
     Slate k gets ``row_norms(grads[k])``, ``steepest_direction(grads[k])[1]``
-    and ``central_direction(grads[k], tol).norm``, bit for bit, with inf
+    and ``central_direction(grads[k]).norm``, bit for bit, with inf
     for an infeasible central QP and, where ``central_direction`` would
     raise, for a slate with a null (exactly zero) row, whose steepest value
     is 0. One pass: one power-of-two prescale of the whole stack, then the
@@ -693,7 +694,7 @@ def _stacked_qp_values(
     # then ||-x / delta^2||
     x = _min_norm_points(scaled[live] / norms[live][..., None])
     delta = np.sqrt(_rowdot(x, x))
-    feasible = delta > tol
+    feasible = delta > QP_TOL
     x, delta = x[feasible], delta[feasible]
     v = -x / (delta * delta)[:, None]
     central[live[feasible]] = np.sqrt(_rowdot(v, v))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .directions import (
     INFEASIBLE,
+    NORM_CAP,
     _stacked_qp_values,
     central_direction,
     steepest_direction,
@@ -51,6 +52,9 @@ HALT_MAX_STEPS = "max-steps"
 # the per-objective Lipschitz constant makes the rule invariant under
 # positive per-objective rescaling, like the central direction itself.
 DEFAULT_MASK_SCALE = 0.5
+
+# a steepest streamline halts as critical once ||V_s|| drops below this
+STEEPEST_CRIT_TOL = 1e-6
 
 
 def _check_box(box: Box, dimension: int) -> List[Tuple[float, float]]:
@@ -154,8 +158,6 @@ def sample_field(
     box: Box,
     resolution: int,
     mask_scale: float = DEFAULT_MASK_SCALE,
-    hard_cap: float = 1e6,
-    qp_tol: float = 1e-9,
 ) -> FieldGrid:
     """Sample direction diagnostics over a planar grid.
 
@@ -166,16 +168,16 @@ def sample_field(
     min-max problem, 0 exactly at critical points).
 
     A node is masked when the QP is infeasible, when the central norm
-    reaches ``hard_cap``, or when min_i(||g_i|| / L_i) / central_norm
-    falls to ``mask_scale * h`` (h = grid spacing, L_i the per-objective
-    Lipschitz constants). That ratio shrinks linearly with the distance to
-    the critical set and is invariant under positive per-objective
-    rescaling, so the threshold flags the nodes within about two
-    ``mask_scale`` cells of the set regardless of objective units. The
-    ratio test is skipped when no Lipschitz constants are declared;
-    objectives with a zero constant (linear) are excluded from the min. A
-    node with an exactly zero gradient is masked with central norm inf and
-    steepest value 0.
+    exceeds ``NORM_CAP`` (where ``central_direction`` sets
+    ``norm_capped``), or when min_i(||g_i|| / L_i) / central_norm falls to
+    ``mask_scale * h`` (h = grid spacing, L_i the per-objective Lipschitz
+    constants). That ratio shrinks linearly with the distance to the
+    critical set and is invariant under positive per-objective rescaling,
+    so the threshold flags the nodes within about two ``mask_scale`` cells
+    of the set regardless of objective units. The ratio test is skipped
+    when no Lipschitz constants are declared; objectives with a zero
+    constant (linear) are excluded from the min. A node with an exactly
+    zero gradient is masked with central norm inf and steepest value 0.
 
     All nodes are sampled in one pass: one :func:`gradients_at` query (m
     gradient queries per node), then both QPs over the whole gradient
@@ -190,11 +192,11 @@ def sample_field(
     gx, gy = np.meshgrid(xs, ys)
     ledger = QueryLedger.for_objectives(problem.num_objectives)
     grads = gradients_at(problem, np.stack([gx.ravel(), gy.ravel()], 1), ledger)
-    sizes, steepest, central = _stacked_qp_values(grads, qp_tol)
+    sizes, steepest, central = _stacked_qp_values(grads)
     # infinite: infeasible, or a null gradient
     mask = ~np.isfinite(central)
     live = np.flatnonzero(~mask)
-    flagged = central[live] >= hard_cap
+    flagged = central[live] > NORM_CAP
     if lip is not None:
         ratio = _lipschitz_min(sizes[live], lip) / central[live]
         flagged |= ratio <= mask_scale * spacing
@@ -221,9 +223,6 @@ def trace_streamline(
     step: float = 0.01,
     max_steps: int = 10000,
     box: Optional[Box] = None,
-    hard_cap: float = 1e6,
-    qp_tol: float = 1e-9,
-    crit_tol: float = 1e-6,
 ) -> Tuple[Array, str]:
     """Integrate a descent field with fixed-length explicit Euler steps.
 
@@ -239,11 +238,11 @@ def trace_streamline(
     zero-constant objectives decrease whenever g_i . u < 0 and are
     excluded from the min). The per-objective form keeps the halt point
     invariant under positive rescalings of the objectives. It also
-    halts on an infeasible QP, a direction norm at ``hard_cap``, a null
-    (exactly zero) gradient, a box exit, or after ``max_steps`` steps. The
-    steepest field halts once ||direction|| < ``crit_tol`` (plus box exit and the step
-    cap). Every recorded step of a central streamline strictly decreases
-    every objective.
+    halts on an infeasible QP, a norm-capped one (norm above ``NORM_CAP``),
+    a null (exactly zero) gradient, a box exit, or after ``max_steps``
+    steps. The steepest field halts once ||direction|| <
+    ``STEEPEST_CRIT_TOL`` (plus box exit and the step cap). Every recorded
+    step of a central streamline strictly decreases every objective.
 
     Each central solve after the first starts the min-norm iteration from
     the previous solve's active set (``central_direction``'s ``start``):
@@ -269,13 +268,11 @@ def trace_streamline(
         if field == "central":
             if not grads.any(axis=1).all():
                 return np.vstack(points), HALT_CRITICAL
-            outcome = central_direction(
-                grads, tol=qp_tol, norm_cap=hard_cap, start=active
-            )
+            outcome = central_direction(grads, start=active)
             active = outcome.active_set
             if outcome.kind == INFEASIBLE:
                 return np.vstack(points), HALT_INFEASIBLE
-            if outcome.norm >= hard_cap:
+            if outcome.norm_capped:
                 return np.vstack(points), HALT_NORM_CAP
             unit = outcome.vector / outcome.norm
             if lip is not None and _lipschitz_min(-grads @ unit, lip) <= 0.5 * step:
@@ -283,7 +280,7 @@ def trace_streamline(
         else:
             v, _ = steepest_direction(grads)
             vnorm = float(np.linalg.norm(v))
-            if vnorm < crit_tol:
+            if vnorm < STEEPEST_CRIT_TOL:
                 return np.vstack(points), HALT_CRITICAL
             unit = v / vnorm
         candidate = x + step * unit

@@ -43,12 +43,13 @@ class BruteForceResult:
     box_half: float
 
 
-def hull_contains_origin_2d(gradients: Array, tol: float = 1e-9) -> bool:
+def hull_contains_origin_2d(gradients: Array) -> bool:
     """Exact planar test: does conv{g_i/||g_i||} contain the origin?
 
     Uses the angular-gap criterion: the origin escapes the hull exactly when
     all directions fit in an open half-plane, i.e. the largest cyclic gap
-    between sorted gradient angles exceeds pi.
+    between sorted gradient angles exceeds pi (by more than 1e-9 rad, an
+    angle tolerance of its own, not the central QP's ``QP_TOL``).
     """
     grads = np.atleast_2d(np.asarray(gradients, dtype=float))
     if grads.shape[1] != 2:
@@ -59,7 +60,7 @@ def hull_contains_origin_2d(gradients: Array, tol: float = 1e-9) -> bool:
     angles = np.sort(np.arctan2(grads[:, 1], grads[:, 0]))
     gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
     max_gap = float(gaps.max())
-    return max_gap <= math.pi + tol
+    return max_gap <= math.pi + 1e-9
 
 
 def angular_sweep_feasible(gradients: Array, count: int = 10000) -> bool:
@@ -357,8 +358,6 @@ def sample_field_reference(
     box: Box,
     resolution: int,
     mask_scale: float = DEFAULT_MASK_SCALE,
-    hard_cap: float = 1e6,
-    qp_tol: float = 1e-9,
 ) -> FieldGrid:
     """:func:`~modescent.fields.sample_field`, one node at a time.
 
@@ -389,13 +388,11 @@ def sample_field_reference(
             steepest[iy, ix] = steepest_direction(grads, wolfe=True)[1]
             if norms.min() == 0.0:
                 continue
-            outcome = central_direction(
-                grads, tol=qp_tol, norm_cap=hard_cap, wolfe=True
-            )
+            outcome = central_direction(grads, wolfe=True)
             if outcome.kind == INFEASIBLE:
                 continue
             central[iy, ix] = outcome.norm
-            flagged = outcome.norm >= hard_cap
+            flagged = outcome.norm_capped
             if lip is not None:
                 ratio = float(_lipschitz_min(norms, lip)) / outcome.norm
                 flagged = flagged or ratio <= mask_scale * spacing

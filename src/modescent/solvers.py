@@ -40,6 +40,7 @@ import numpy as np
 
 from .directions import (
     INFEASIBLE,
+    NORM_CAP,
     GradientSlate,
     central_direction,
     row_norms,
@@ -65,6 +66,16 @@ BRANCH_BLOWUP = "direction-blowup"
 BRANCH_UNBOUNDED = "unbounded-decrease"
 
 TRACE_FLOAT_FORMAT = ".17g"
+
+# the line searches try alpha = 1, 1/2, ..., 2**-MAX_HALVINGS
+MAX_HALVINGS = 60
+# the baselines stop as critical once their direction norm falls to this
+CRIT_TOL = 1e-12
+# classify_run's thresholds besides NORM_CAP: an exact gradient norm at
+# GRAD_FLOOR counts as vanishing, every objective below VALUE_FLOOR as
+# unbounded decrease
+GRAD_FLOOR = 1e-6
+VALUE_FLOOR = -1e3
 
 
 @dataclass(frozen=True)
@@ -229,14 +240,14 @@ def _unqueried_verdict(outcome, refreshed: Array) -> bool:
     return outcome.norm_capped and not refreshed[list(outcome.active_set)].all()
 
 
-def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
+def _central_stepper(problem, x, ledger, slate_init, seed):
     """Fill the slate at x; return ``refresh(k, x, rows)``, which starts both
     incremental step rules. It queries the gradients of ``rows`` into the
     slate and solves the central QP from the previous solve's active set.
     It returns (gradients, outcome), or the stop pair: NullGradient for a
     null slate row at k = 1 (before any query) or a zero refreshed
     gradient, Infeasible for a QP with no feasible direction within
-    ``norm_cap`` (both certify criticality). Such a verdict stops the run
+    ``NORM_CAP`` (both certify criticality). Such a verdict stops the run
     only when every row it gives weight to has been queried; otherwise the
     QP over the queried rows alone decides, at no extra query.
     """
@@ -259,24 +270,19 @@ def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
             return STOP_NULL_GRADIENT, float("nan")
         for i, g in zip(rows, grads):
             slate.update(i, g)
-        outcome = central_direction(
-            slate.vectors, tol=qp_tol, norm_cap=norm_cap, start=active
-        )
+        outcome = central_direction(slate.vectors, start=active)
         active = outcome.active_set
         if _unqueried_verdict(outcome, slate.refreshed):
             # the verdict leans on a row that was never queried (the
             # arbitrary initial fill): solve again, cold, over the queried
             # rows only, whose verdict is a real certificate
             queried = np.flatnonzero(slate.refreshed)
-            outcome = central_direction(
-                slate.vectors[queried], tol=qp_tol, norm_cap=norm_cap
-            )
+            outcome = central_direction(slate.vectors[queried])
             active = tuple(int(queried[i]) for i in outcome.active_set)
         # "no feasible direction within the norm cap" is the emptiness
-        # certificate: a capped-but-feasible QP stops the run the same way.
-        if outcome.kind == INFEASIBLE:
-            return STOP_INFEASIBLE, float("inf")
-        if outcome.norm_capped:
+        # certificate: a capped-but-feasible QP stops the run the same way
+        # (an infeasible outcome's norm is inf).
+        if outcome.kind == INFEASIBLE or outcome.norm_capped:
             return STOP_INFEASIBLE, outcome.norm
         return grads, outcome
 
@@ -284,49 +290,28 @@ def _central_stepper(problem, x, ledger, slate_init, seed, qp_tol, norm_cap):
 
 
 def _backtrack(
-    decrease: Callable[[float], float], slope: float, beta: float, max_halvings: int
+    decrease: Callable[[float], float], slope: float, beta: float
 ) -> Optional[float]:
-    """Largest alpha in {1, 1/2, ..., 2**-max_halvings} with
+    """Largest alpha in {1, 1/2, ..., 2**-MAX_HALVINGS} with
     decrease(alpha) <= beta * alpha * slope, or None when there is none."""
     alpha = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         if decrease(alpha) <= beta * alpha * slope:
             return alpha
         alpha *= 0.5
     return None
 
 
-def armijo_backtrack(
-    problem: MultiObjectiveProblem,
-    j: int,
-    x: Array,
-    direction: Array,
-    g_j: Array,
-    beta: float,
-    ledger: QueryLedger,
-    max_halvings: int = 60,
-) -> float:
+def _armijo_details(problem, j, x, direction, g_j, beta, ledger):
     """Largest alpha in {1, 1/2, 1/4, ...} passing the sufficient-decrease test
 
         f_j(x + alpha d) - f_j(x) <= beta * alpha * (g_j . d).
 
-    Counts one baseline query of f_j(x) plus one query per trial. Raises
-    ValueError when d is not a descent direction for g_j and RuntimeError
-    when no step within ``max_halvings`` halvings is acceptable.
+    Returns (alpha, f_j at the accepted point), or None when no step within
+    ``MAX_HALVINGS`` halvings is acceptable. Counts one baseline query of
+    f_j(x) plus one query per trial. Raises ValueError when d is not a
+    descent direction for g_j.
     """
-    details = _armijo_details(
-        problem, j, x, direction, g_j, beta, ledger, max_halvings
-    )
-    if details is None:
-        raise RuntimeError(
-            f"no acceptable step within {max_halvings} halvings on objective {j}"
-        )
-    return details[0]
-
-
-def _armijo_details(problem, j, x, direction, g_j, beta, ledger, max_halvings):
-    """(alpha, f_j at the accepted point) of the backtracking search, or
-    None when no step within ``max_halvings`` halvings is acceptable."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
     slope = float(np.asarray(g_j, dtype=float) @ direction)
@@ -339,7 +324,7 @@ def _armijo_details(problem, j, x, direction, g_j, beta, ledger, max_halvings):
         trials.append(evaluate(problem, j, x + alpha * direction, ledger))
         return trials[-1] - f_base
 
-    alpha = _backtrack(decrease, slope, beta, max_halvings)
+    alpha = _backtrack(decrease, slope, beta)
     return None if alpha is None else (alpha, trials[-1])
 
 
@@ -350,8 +335,6 @@ def run_incremental_central(
     slate_init: str = "random-unit",
     seed: int = 0,
     max_iter: int = 10000,
-    qp_tol: float = 1e-9,
-    norm_cap: float = 1e6,
     diagnostics: bool = True,
 ) -> List[IterationRecord]:
     """Incremental central descent with a vanishing step schedule.
@@ -359,7 +342,7 @@ def run_incremental_central(
     Per iteration: refresh the slate entry of one objective (cyclic order),
     solve the central QP, and move by alpha_k along the normalized
     direction. Stops on a null (exactly zero) refreshed gradient, on a QP
-    with no feasible direction within ``norm_cap`` (both certify
+    with no feasible direction within ``NORM_CAP`` (both certify
     criticality) or after ``max_iter`` iterations. Each QP is warm-started
     from the previous solve's active set. Exactly one
     gradient query per started iteration ends up in the ledger
@@ -369,9 +352,7 @@ def run_incremental_central(
     m = problem.num_objectives
     ledger = QueryLedger.for_objectives(m)
     x = np.array(x0, dtype=float)
-    refresh = _central_stepper(
-        problem, x, ledger, slate_init, seed, qp_tol, norm_cap
-    )
+    refresh = _central_stepper(problem, x, ledger, slate_init, seed)
 
     def step(k: int, x: Array):
         got = refresh(k, x, ((k - 1) % m,))
@@ -418,9 +399,6 @@ def run_incremental_central_armijo(
     seed: int = 0,
     slate_init: str = "random-unit",
     max_iter: int = 10000,
-    qp_tol: float = 1e-9,
-    norm_cap: float = 1e6,
-    max_halvings: int = 60,
     diagnostics: bool = True,
 ) -> List[IterationRecord]:
     """Incremental central descent with an inexact line search.
@@ -434,8 +412,8 @@ def run_incremental_central_armijo(
     from the previous solve's active set.
 
     Stops on a null (exactly zero) refreshed gradient, on a QP with no
-    feasible direction within ``norm_cap``, with LineSearchStall when no step
-    within ``max_halvings`` halvings passes the test (the records so far are
+    feasible direction within ``NORM_CAP``, with LineSearchStall when no
+    step within ``MAX_HALVINGS`` halvings passes the test (the records so far are
     kept), or after ``max_iter`` iterations.
 
     ``t_policy`` is "cyclic" (default) or "random" (seeded). Records carry
@@ -452,9 +430,7 @@ def run_incremental_central_armijo(
     # The cap is load-bearing here: past it the guaranteed decrease per
     # backtracking step drops under float rounding noise and the line
     # search can no longer terminate reliably.
-    refresh = _central_stepper(
-        problem, x, ledger, slate_init, seed, qp_tol, norm_cap
-    )
+    refresh = _central_stepper(problem, x, ledger, slate_init, seed)
     chooser = (
         _CyclicChooser(m, start=1)
         if t_policy == "cyclic"
@@ -469,9 +445,7 @@ def run_incremental_central_armijo(
             return got
         (g_j, _), outcome = got
         unit = outcome.vector / outcome.norm
-        details = _armijo_details(
-            problem, j, x, unit, g_j, beta, ledger, max_halvings
-        )
+        details = _armijo_details(problem, j, x, unit, g_j, beta, ledger)
         if details is None:
             return STOP_LINE_SEARCH_STALL, outcome.norm
         alpha, f_accepted = details
@@ -504,18 +478,16 @@ def run_full_steepest(
     x0: Array,
     beta: float = 0.5,
     max_iter: int = 10000,
-    crit_tol: float = 1e-12,
-    max_halvings: int = 60,
 ) -> List[IterationRecord]:
     """Steepest multi-gradient descent baseline: m gradient queries per step.
 
     Computes the regularized min-max direction from all current gradients
     and backtracks on the max-over-objectives decrease test
     max_i [f_i(x + alpha V) - f_i(x)] <= beta * alpha * max_i g_i . V.
-    Stops with the NullGradient label when ||V_s|| falls below ``crit_tol``
-    (criticality), with LineSearchStall when no step within ``max_halvings``
-    halvings passes the test (the needed decrease is lost in float noise),
-    or at the iteration cap.
+    Stops with the NullGradient label when ||V_s|| falls to ``CRIT_TOL``
+    (criticality), with LineSearchStall when no step within
+    ``MAX_HALVINGS`` halvings passes the test (the needed decrease is lost
+    in float noise), or at the iteration cap.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -529,13 +501,12 @@ def run_full_steepest(
         grads = np.vstack([gradient(problem, i, x, ledger) for i in range(m)])
         v, _ = _steepest_direction(grads)
         vnorm = float(np.linalg.norm(v))
-        if vnorm <= crit_tol:
+        if vnorm <= CRIT_TOL:
             return STOP_NULL_GRADIENT, float("nan")
         slope = float((grads @ v).max())
         f_base = values_at(x)
         alpha = _backtrack(
-            lambda a: float((values_at(x + a * v) - f_base).max()),
-            slope, beta, max_halvings,
+            lambda a: float((values_at(x + a * v) - f_base).max()), slope, beta
         )
         if alpha is None:
             return STOP_LINE_SEARCH_STALL, float("nan")
@@ -562,15 +533,13 @@ def run_scalarized(
     x0: Array,
     beta: float = 0.5,
     max_iter: int = 10000,
-    crit_tol: float = 1e-12,
-    max_halvings: int = 60,
 ) -> List[IterationRecord]:
     """Gradient descent with backtracking on the weighted sum sum_i pi_i f_i.
 
     All m gradients are queried every iteration (the weighted gradient needs
     them even for zero weights); each line-search trial costs m function
-    queries. Stops with NullGradient when the weighted gradient falls below
-    ``crit_tol``, with LineSearchStall when no step within ``max_halvings``
+    queries. Stops with NullGradient when the weighted gradient falls to
+    ``CRIT_TOL``, with LineSearchStall when no step within ``MAX_HALVINGS``
     halvings passes the test, or at the iteration cap.
     """
     if not 0.0 < beta < 1.0:
@@ -588,12 +557,11 @@ def run_scalarized(
         grads = np.vstack([gradient(problem, i, x, ledger) for i in range(m)])
         g = pi @ grads
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= crit_tol:
+        if gnorm <= CRIT_TOL:
             return STOP_NULL_GRADIENT, float("nan")
         f_base = weighted_value(x)
         alpha = _backtrack(
-            lambda a: weighted_value(x - a * g) - f_base,
-            -gnorm**2, beta, max_halvings,
+            lambda a: weighted_value(x - a * g) - f_base, -gnorm**2, beta
         )
         if alpha is None:
             return STOP_LINE_SEARCH_STALL, float("nan")
@@ -638,21 +606,16 @@ def run_incremental_aggregated(
     )
 
 
-def classify_run(
-    records: Sequence[IterationRecord],
-    dir_cap: float = 1e6,
-    grad_floor: float = 1e-6,
-    value_floor: float = -1e3,
-) -> str:
+def classify_run(records: Sequence[IterationRecord]) -> str:
     """Assign a terminated or truncated incremental run to one behavior branch.
 
     Exactly one of three labels describes where the run is heading:
 
     * "vanishing-gradient": a null gradient stopped the run, or some exact
-      gradient norm dropped to ``grad_floor``;
+      gradient norm dropped to ``GRAD_FLOOR``;
     * "direction-blowup": the QP turned infeasible or a direction norm
-      reached ``dir_cap``;
-    * "unbounded-decrease": every objective ended below ``value_floor``.
+      reached ``NORM_CAP``;
+    * "unbounded-decrease": every objective ended below ``VALUE_FLOOR``.
 
     Runs that trip no hard trigger are split between the first two labels by
     comparing how close each came (relative to its threshold); the third
@@ -666,15 +629,15 @@ def classify_run(
     min_grad = min(grads) if grads else float("inf")
     dirs = [r.dir_norm for r in records if not math.isnan(r.dir_norm)]
     max_dir = max(dirs) if dirs else 0.0
-    if stop == STOP_NULL_GRADIENT or min_grad <= grad_floor:
+    if stop == STOP_NULL_GRADIENT or min_grad <= GRAD_FLOOR:
         return BRANCH_VANISHING
-    if stop == STOP_INFEASIBLE or max_dir >= dir_cap:
+    if stop == STOP_INFEASIBLE or max_dir >= NORM_CAP:
         return BRANCH_BLOWUP
     final = records[-1].objective_values
-    if np.all(np.isfinite(final)) and np.all(final <= value_floor):
+    if np.all(np.isfinite(final)) and np.all(final <= VALUE_FLOOR):
         return BRANCH_UNBOUNDED
-    vanish_score = grad_floor / min_grad if min_grad > 0 else float("inf")
-    blowup_score = max_dir / dir_cap
+    vanish_score = GRAD_FLOOR / min_grad if min_grad > 0 else float("inf")
+    blowup_score = max_dir / NORM_CAP
     return BRANCH_VANISHING if vanish_score >= blowup_score else BRANCH_BLOWUP
 
 

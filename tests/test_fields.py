@@ -348,11 +348,6 @@ class TestTraceStreamline:
         )
         assert halt == "box-exit"
         assert (pts[-1] >= 0.0).all() and (pts[-1] <= 1.0).all()
-        # a tiny norm cap trips before the curve
-        pts, halt = trace_streamline(
-            fig1, (0.5, 0.5), field="central", step=0.01, hard_cap=5.0
-        )
-        assert halt == "norm-cap" and len(pts) < 142
         # step budget
         pts, halt = trace_streamline(
             single, (0.3, 0.4), field="steepest", step=0.01, max_steps=300

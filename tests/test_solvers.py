@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from modescent import (
+    DIRECTION,
     IterationRecord,
     MultiObjectiveProblem,
     QueryLedger,
     StepSchedule,
-    armijo_backtrack,
+    central_direction,
     classify_run,
     figure1_efficient_curve,
     make_figure1_problem,
@@ -23,7 +24,9 @@ from modescent import (
     run_incremental_central,
     run_incremental_central_armijo,
     run_scalarized,
+    sample_field,
     steepest_direction,
+    trace_streamline,
     write_trace_csv,
 )
 from modescent import directions, solvers
@@ -398,26 +401,26 @@ class TestArmijoBacktrack:
     def test_full_step_accepted(self):
         prob = one_dim_quadratic()
         ledger = QueryLedger.for_objectives(1)
-        alpha = armijo_backtrack(
+        details = solvers._armijo_details(
             prob, 0, np.array([1.0]), np.array([-1.0]), np.array([2.0]), 0.5, ledger
         )
-        assert alpha == 1.0
+        assert details == (1.0, 0.0)  # alpha, f at the accepted point
         assert ledger.function_evals == 2  # baseline + one trial
 
     def test_halves_until_accepted(self):
         prob = one_dim_quadratic()
         ledger = QueryLedger.for_objectives(1)
-        alpha = armijo_backtrack(
+        details = solvers._armijo_details(
             prob, 0, np.array([1.0]), np.array([-1.0]), np.array([2.0]), 0.9, ledger
         )
-        assert alpha == 0.125
+        assert details == (0.125, 0.765625)
         assert ledger.function_evals == 5
 
     def test_rejects_non_descent_direction(self):
         prob = one_dim_quadratic()
         ledger = QueryLedger.for_objectives(1)
         with pytest.raises(ValueError):
-            armijo_backtrack(
+            solvers._armijo_details(
                 prob, 0, np.array([1.0]), np.array([1.0]), np.array([2.0]), 0.5, ledger
             )
 
@@ -429,10 +432,12 @@ class TestArmijoBacktrack:
             name="flat",
         )
         ledger = QueryLedger.for_objectives(1)
-        with pytest.raises(RuntimeError):
-            armijo_backtrack(
-                flat, 0, np.array([0.0]), np.array([-1.0]), np.array([1.0]), 0.5, ledger
-            )
+        details = solvers._armijo_details(
+            flat, 0, np.array([0.0]), np.array([-1.0]), np.array([1.0]), 0.5, ledger
+        )
+        assert details is None
+        # the baseline plus alpha = 1, 1/2, ..., 2**-MAX_HALVINGS
+        assert ledger.function_evals == solvers.MAX_HALVINGS + 2
 
 
 class TestFullSteepest:
@@ -623,6 +628,71 @@ class TestClassifyRun:
         )
         assert classify_run(recs) == "direction-blowup"
         assert max(r.dir_norm for r in completed(recs)) > 1e4
+
+
+def opposed_pair(eps):
+    """Linear objectives with gradients (1, 0) and (-1, eps) everywhere.
+
+    The unit rows nearly oppose, so the central norm is about 2 / eps at
+    every point; the zero Lipschitz constants switch off the field's ratio
+    mask and the streamline's margin halt, leaving the norm cap alone.
+    """
+    rows = np.array([[1.0, 0.0], [-1.0, eps]])
+    problem = MultiObjectiveProblem(
+        dimension=2,
+        objectives=(lambda x: float(rows[0] @ x), lambda x: float(rows[1] @ x)),
+        gradient_fns=(lambda x: rows[0].copy(), lambda x: rows[1].copy()),
+        lipschitz=(0.0, 0.0),
+        name="opposed-pair",
+    )
+    return problem, rows
+
+
+@pytest.mark.parametrize("eps, capped", [(1e-6, True), (1e-5, False)])
+def test_every_component_caps_the_same_norm(eps, capped):
+    """The QP, the field, the streamline, both incremental solvers and
+    classify_run agree on which norm is nearly critical: 2e6 is past the
+    cap everywhere, 2e5 nowhere."""
+    problem, rows = opposed_pair(eps)
+    outcome = central_direction(rows)
+    assert outcome.kind == DIRECTION
+    assert outcome.norm == pytest.approx(2.0 / eps, rel=1e-6)
+    assert outcome.norm_capped == capped
+
+    grid = sample_field(problem, ((-1.0, 1.0), (-1.0, 1.0)), 4)
+    assert (grid.channels["central_norm"] == outcome.norm).all()
+    assert grid.mask.all() if capped else not grid.mask.any()
+
+    points, halt = trace_streamline(problem, (0.0, 0.0), max_steps=3)
+    assert (halt, len(points)) == (("norm-cap", 1) if capped else ("max-steps", 4))
+
+    runs = [
+        run_incremental_central(
+            problem, (0.0, 0.0), StepSchedule.harmonic(),
+            slate_init="warm-start", max_iter=3,
+        ),
+        run_incremental_central_armijo(
+            problem, (0.0, 0.0), slate_init="warm-start", max_iter=3
+        ),
+    ]
+    for recs in runs:
+        if capped:
+            assert [r.stop_reason for r in recs] == ["Infeasible"]
+            assert recs[-1].dir_norm == outcome.norm
+            assert classify_run(recs) == "direction-blowup"
+        else:
+            assert recs[-1].stop_reason == "MaxIter"
+            assert all(r.dir_norm == outcome.norm for r in completed(recs))
+
+    # classify_run's own cap test ranks before the value floor: a norm past
+    # the cap is a blow-up even when every objective has sunk below it
+    sinking = dataclasses.replace(
+        runs[0][-1], dir_norm=outcome.norm, objective_values=np.full(2, -2e3),
+        stop_reason="MaxIter",
+    )
+    assert classify_run([sinking]) == (
+        "direction-blowup" if capped else "unbounded-decrease"
+    )
 
 
 class TestTraceCsv:
