@@ -30,7 +30,12 @@ from .directions import (
     central_direction,
     steepest_direction,
 )
-from .fields import sample_field, trace_streamline, write_streamlines_csv
+from .fields import (
+    DEFAULT_MASK_SCALE,
+    sample_field,
+    trace_streamline,
+    write_streamlines_csv,
+)
 from .metrics import (
     alignment_gap,
     exterior_perturbation_margin,
@@ -63,18 +68,18 @@ from .solvers import (
     write_trace_csv,
 )
 
-SUITES = ("kkt", "geometry", "invariance", "perturbation", "rate", "complexity")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the contract is 1.
 
     Also widens the negative-number heuristic so values such as
     ``--box -3,1,-3,1`` and ``--x0 -0.5,-0.5`` parse as option values
-    rather than unknown flags.
+    rather than unknown flags, and makes ``--help`` show each default.
+    ``build_parser`` sets ``commands`` on the top-level parser: the
+    subcommand parsers by name.
     """
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d[\d.,eE+-]*$")
 
@@ -122,53 +127,6 @@ def _read_config(path: str) -> Dict[str, str]:
     return out
 
 
-_DEFAULTS = {
-    "problem": "figure1",
-    "algo": "icd",
-    "x0": None,
-    "schedule": "harmonic:1",
-    "beta": 0.5,
-    "seed": 0,
-    "max_iter": 1000,
-    "slate_init": "random-unit",
-    "t_policy": "cyclic",
-    "out": None,
-    "iag_alpha": 0.05,
-    "iag_window": 0,
-    "box": "-2,1,-2,1",
-    "resolution": 41,
-    "mask_scale": 0.5,
-    "field": "central",
-    "step": 0.01,
-    "max_steps": 10000,
-    "streamlines_out": None,
-}
-
-_CASTS = {
-    "beta": float,
-    "seed": int,
-    "max_iter": int,
-    "iag_alpha": float,
-    "iag_window": int,
-    "resolution": int,
-    "mask_scale": float,
-    "step": float,
-    "max_steps": int,
-}
-
-
-def _resolve(args: argparse.Namespace, config: Dict[str, str], key: str):
-    """Precedence: explicit flag, then config file, then built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    file_key = key.replace("_", "-")
-    if file_key in config:
-        raw = config[file_key]
-        return _CASTS.get(key, str)(raw)
-    return _DEFAULTS[key]
-
-
 def _parse_floats(text: str, what: str) -> List[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -195,70 +153,101 @@ def _parse_box(text: str) -> List:
 
 
 def build_parser() -> _Parser:
+    """The CLI parser: each option's default and type is stated here once.
+
+    ``main`` builds one per call, because a ``--config`` file replaces the
+    subcommand's defaults with ``set_defaults``, which mutates the parser.
+    """
     parser = _Parser(prog="modescent", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     solve = sub.add_parser("solve", help="run an iterative method")
     solve.add_argument("--config", help="key=value defaults file")
-    solve.add_argument("--problem", help="figure1 | figure1-scaled:<k1>,<k2> | "
-                       "random-quadratic:<m>,<n>,<seed> | linear-decline:<m>,<n>,<seed>")
-    solve.add_argument("--algo", help="icd | icd-armijo | steepest | "
+    solve.add_argument("--problem", default="figure1",
+                       help="figure1 | figure1-scaled:<k1>,<k2> | "
+                       "random-quadratic:<m>,<n>,<seed> | "
+                       "linear-decline:<m>,<n>,<seed>")
+    solve.add_argument("--algo", default="icd", help="icd | icd-armijo | steepest | "
                        "scalarized:<w1>,...,<wm> | iag")
-    solve.add_argument("--x0", help="comma-separated start point (default: origin)")
-    solve.add_argument("--schedule", help="harmonic[:c] | powerlaw:<c>,<p>")
-    solve.add_argument("--beta", type=float, help="sufficient-decrease parameter")
-    solve.add_argument("--seed", type=int, help="seed for slate init / random t")
-    solve.add_argument("--max-iter", type=int, dest="max_iter")
-    solve.add_argument("--slate-init", dest="slate_init",
-                       choices=("random-unit", "warm-start"))
-    solve.add_argument("--t-policy", dest="t_policy", choices=("cyclic", "random"))
-    solve.add_argument("--iag-alpha", type=float, dest="iag_alpha")
-    solve.add_argument("--iag-window", type=int, dest="iag_window")
+    solve.add_argument("--x0", help="comma-separated start point; None is the origin")
+    solve.add_argument("--schedule", default="harmonic:1",
+                       help="icd step schedule: harmonic[:c] | powerlaw:<c>,<p>")
+    solve.add_argument("--beta", type=float, default=0.5,
+                       help="sufficient-decrease parameter")
+    solve.add_argument("--seed", type=int, default=0,
+                       help="seed for slate init / random t")
+    solve.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
+    solve.add_argument("--slate-init", choices=("random-unit", "warm-start"),
+                       default="random-unit", help="how icd and icd-armijo fill "
+                       "the gradient slate at x0")
+    solve.add_argument("--t-policy", choices=("cyclic", "random"), default="cyclic",
+                       help="how icd-armijo picks the objective t it probes")
+    solve.add_argument("--iag-alpha", type=float, default=0.05, help="iag step length")
+    solve.add_argument("--iag-window", type=int, default=0,
+                       help="iag gradient window; 0 means one per objective")
     solve.add_argument("--out", help="write the iteration trace CSV here")
 
     field = sub.add_parser("field", help="sample direction diagnostics on a grid")
     field.add_argument("--config", help="key=value defaults file")
-    field.add_argument("--problem")
-    field.add_argument("--box", help="xmin,xmax,ymin,ymax")
-    field.add_argument("--res", "--resolution", type=int, dest="resolution",
-                       help="grid nodes per axis")
-    field.add_argument("--mask-scale", type=float, dest="mask_scale")
+    field.add_argument("--problem", default="figure1", help="a planar problem, "
+                       "named as for solve")
+    field.add_argument("--box", default="-2,1,-2,1", help="xmin,xmax,ymin,ymax")
+    field.add_argument("--res", "--resolution", type=int, default=41,
+                       dest="resolution", help="grid nodes per axis")
+    field.add_argument("--mask-scale", type=float, default=DEFAULT_MASK_SCALE,
+                       help="mask a node once its criticality ratio falls to this "
+                       "many grid spacings")
     field.add_argument("--channel", help="restrict the grid CSV to one channel")
     field.add_argument("--out", required=True, help="grid CSV path")
-    field.add_argument("--field", choices=("central", "steepest"),
+    field.add_argument("--field", choices=("central", "steepest"), default="central",
                        help="direction field for streamlines")
-    field.add_argument("--step", type=float, help="streamline step length")
-    field.add_argument("--max-steps", type=int, dest="max_steps")
-    field.add_argument("--streamline", action="append", default=None,
-                       metavar="X,Y", help="trace a streamline from this start "
-                       "(repeatable)")
+    field.add_argument("--step", type=float, default=0.01,
+                       help="streamline step length")
+    field.add_argument("--max-steps", type=int, default=10000,
+                       help="streamline step cap")
+    field.add_argument("--streamline", action="append", metavar="X,Y",
+                       help="trace a streamline from this start (repeatable)")
     field.add_argument("--streamlines", metavar="SEEDS_CSV",
                        help="trace one streamline per x,y row of this file")
-    field.add_argument("--streamlines-out", dest="streamlines_out",
-                       help="streamline CSV path (default: <out>.streamlines.csv)")
+    field.add_argument("--streamlines-out", help="streamline CSV path; None means "
+                       "<out>.streamlines.csv")
 
     verify = sub.add_parser("verify", help="run a built-in self-check suite")
     verify.add_argument("--suite", required=True, choices=SUITES)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed of the suite's random cases")
     return parser
 
 
-def _run_named_algo(problem, algo, args, config):
-    x0 = _parse_x0(_resolve(args, config, "x0"), problem)
-    beta = _resolve(args, config, "beta")
-    seed = _resolve(args, config, "seed")
-    max_iter = _resolve(args, config, "max_iter")
-    slate_init = _resolve(args, config, "slate_init")
+def _config_defaults(args: argparse.Namespace) -> Dict[str, str]:
+    """The ``--config`` file's values for the command's options, by dest.
+
+    A key is an option's long name without the leading dashes; other keys
+    are ignored, and so is ``streamline``: it appends, so a text default
+    would be iterated character by character.
+    """
+    config = _read_config(args.config)
+    return {
+        dest: config[key]
+        for dest in vars(args)
+        if (key := dest.replace("_", "-")) in config
+        and dest not in ("command", "config", "streamline")
+    }
+
+
+def _run_named_algo(problem, args):
+    x0 = _parse_x0(args.x0, problem)
+    algo, beta, max_iter = args.algo, args.beta, args.max_iter
     if algo == "icd":
-        schedule = StepSchedule.parse(_resolve(args, config, "schedule"))
         return run_incremental_central(
-            problem, x0, schedule, slate_init=slate_init, seed=seed,
-            max_iter=max_iter,
+            problem, x0, StepSchedule.parse(args.schedule),
+            slate_init=args.slate_init, seed=args.seed, max_iter=max_iter,
         )
     if algo == "icd-armijo":
         return run_incremental_central_armijo(
-            problem, x0, beta=beta, t_policy=_resolve(args, config, "t_policy"),
-            seed=seed, slate_init=slate_init, max_iter=max_iter,
+            problem, x0, beta=beta, t_policy=args.t_policy, seed=args.seed,
+            slate_init=args.slate_init, max_iter=max_iter,
         )
     if algo == "steepest":
         return run_full_steepest(problem, x0, beta=beta, max_iter=max_iter)
@@ -266,23 +255,20 @@ def _run_named_algo(problem, algo, args, config):
         pi = _parse_floats(algo.partition(":")[2], "scalarized weights")
         return run_scalarized(problem, pi, x0, beta=beta, max_iter=max_iter)
     if algo == "iag":
-        window = _resolve(args, config, "iag_window") or problem.num_objectives
-        pi = np.full(problem.num_objectives, 1.0 / problem.num_objectives)
+        m = problem.num_objectives
         return run_incremental_aggregated(
-            problem, pi, x0, alpha=_resolve(args, config, "iag_alpha"),
-            window=window, max_iter=max_iter,
+            problem, np.full(m, 1.0 / m), x0, alpha=args.iag_alpha,
+            window=args.iag_window or m, max_iter=max_iter,
         )
     raise ValueError(f"unknown algo {algo!r}")
 
 
 def _cmd_solve(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    problem = problem_from_name(_resolve(args, config, "problem"))
-    algo = _resolve(args, config, "algo")
-    records = _run_named_algo(problem, algo, args, config)
-    out = _resolve(args, config, "out")
-    if out:
-        write_trace_csv(records, out)
+    problem = problem_from_name(args.problem)
+    algo = args.algo
+    records = _run_named_algo(problem, args)
+    if args.out:
+        write_trace_csv(records, args.out)
     last = records[-1]
     summary = {
         "algo": algo,
@@ -308,7 +294,7 @@ def _cmd_solve(args) -> int:
                 [r.ratio_metric for r in steps],
                 f1_at_x0=float(steps[0].objective_values[0]),
                 f_min=problem.lower_bound,
-                beta=_resolve(args, config, "beta"),
+                beta=args.beta,
                 lipschitz=problem.max_lipschitz,
             )
             summary["bound_satisfied"] = bool(min(margins) >= -1e-9)
@@ -336,13 +322,10 @@ def _read_seed_points(path: str) -> List[List[float]]:
 
 
 def _cmd_field(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    problem = problem_from_name(_resolve(args, config, "problem"))
-    box = _parse_box(_resolve(args, config, "box"))
-    resolution = _resolve(args, config, "resolution")
-    grid = sample_field(
-        problem, box, resolution, mask_scale=_resolve(args, config, "mask_scale")
-    )
+    problem = problem_from_name(args.problem)
+    box = _parse_box(args.box)
+    resolution = args.resolution
+    grid = sample_field(problem, box, resolution, mask_scale=args.mask_scale)
     grid.to_csv(args.out, channels=[args.channel] if args.channel else None)
     summary = {
         "problem": problem.name,
@@ -360,19 +343,11 @@ def _cmd_field(args) -> int:
                 raise ValueError(
                     f"streamline seeds need {problem.dimension} coordinates"
                 )
-            lines.append(
-                trace_streamline(
-                    problem,
-                    np.array(start),
-                    field=_resolve(args, config, "field"),
-                    step=_resolve(args, config, "step"),
-                    max_steps=_resolve(args, config, "max_steps"),
-                    box=box,
-                )
-            )
-        out_lines = _resolve(args, config, "streamlines_out")
-        if out_lines is None:
-            out_lines = args.out + ".streamlines.csv"
+            lines.append(trace_streamline(
+                problem, np.array(start), field=args.field, step=args.step,
+                max_steps=args.max_steps, box=box,
+            ))
+        out_lines = args.streamlines_out or args.out + ".streamlines.csv"
         write_streamlines_csv(lines, out_lines)
         summary["streamlines_out"] = out_lines
         summary["streamlines"] = [
@@ -694,6 +669,7 @@ _SUITE_FNS = {
     "rate": _suite_rate,
     "complexity": _suite_complexity,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def _cmd_verify(args) -> int:
@@ -707,6 +683,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # an explicit flag beats the file, which beats the built-in
+            # default; argparse converts file values with each option's type
+            parser.commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "field":

@@ -21,6 +21,7 @@ do; that changes the last bits of the points, not the answer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,12 +76,19 @@ def _positive_lipschitz(problem: MultiObjectiveProblem) -> Optional[Array]:
     return lip if np.any(lip > 0.0) else None
 
 
-def _grid_axes(problem: MultiObjectiveProblem, box: Box, resolution: int):
-    """Checked (box, xs, ys, spacing) of a planar sampling grid."""
+def _grid_axes(problem: MultiObjectiveProblem, box: Box, resolution: int,
+               mask_scale: float):
+    """Checked (box, xs, ys, spacing) of a planar sampling grid.
+
+    The mask scale is checked too: a NaN or negative one would turn the
+    ratio mask off without a word.
+    """
     if problem.dimension != 2:
         raise ValueError("field sampling is defined for planar problems")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not (math.isfinite(mask_scale) and mask_scale >= 0.0):
+        raise ValueError(f"mask_scale must be finite and >= 0, got {mask_scale!r}")
     box = _check_box(box, 2)
     xs = np.linspace(box[0][0], box[0][1], resolution)
     ys = np.linspace(box[1][0], box[1][1], resolution)
@@ -187,7 +195,7 @@ def sample_field(
     Wolfe solves per node) is the reference; for m >= 3 both run Wolfe and
     agree bit for bit.
     """
-    box, xs, ys, spacing = _grid_axes(problem, box, resolution)
+    box, xs, ys, spacing = _grid_axes(problem, box, resolution, mask_scale)
     lip = _positive_lipschitz(problem)
     gx, gy = np.meshgrid(xs, ys)
     ledger = QueryLedger.for_objectives(problem.num_objectives)
@@ -255,8 +263,8 @@ def trace_streamline(
     """
     if field not in ("central", "steepest"):
         raise ValueError(f"unknown field {field!r}")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     x = np.array(x0, dtype=float)
     checked_box = None if box is None else _check_box(box, problem.dimension)
     lip = _positive_lipschitz(problem)

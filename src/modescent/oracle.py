@@ -369,7 +369,7 @@ def sample_field_reference(
     norms after the power-of-two prescale and a row null only when it is
     exactly zero.
     """
-    box, xs, ys, spacing = _grid_axes(problem, box, resolution)
+    box, xs, ys, spacing = _grid_axes(problem, box, resolution, mask_scale)
     lip = _positive_lipschitz(problem)
     shape = (resolution, resolution)
     min_grad = np.empty(shape)

@@ -80,31 +80,29 @@ VALUE_FLOOR = -1e3
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Vanishing, non-summable step-size rule alpha_k for k = 1, 2, ...
+    """Vanishing, non-summable step-size rule alpha_k = c / k**p, k = 1, 2, ...
 
-    kinds: "harmonic" gives c / k; "power-law" gives c / k**p with
-    0 < p <= 1. Both vanish while their partial sums diverge.
+    With 0 < p <= 1 the steps vanish while their partial sums diverge; p = 1
+    is the harmonic rule c / k.
     """
 
-    kind: str
     c: float
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("harmonic", "power-law"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.c <= 0.0:
-            raise ValueError("schedule constant must be positive")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"schedule constant c must be finite and positive, "
+                             f"got {self.c!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("power-law exponent must lie in (0, 1]")
 
     @classmethod
     def harmonic(cls, c: float = 1.0) -> "StepSchedule":
-        return cls("harmonic", float(c), 1.0)
+        return cls(float(c))
 
     @classmethod
     def power_law(cls, c: float, p: float) -> "StepSchedule":
-        return cls("power-law", float(c), float(p))
+        return cls(float(c), float(p))
 
     @classmethod
     def parse(cls, text: str) -> "StepSchedule":
@@ -124,8 +122,6 @@ class StepSchedule:
     def alpha(self, k: int) -> float:
         if k < 1:
             raise ValueError("iterations are numbered from 1")
-        if self.kind == "harmonic":
-            return self.c / k
         return self.c / k**self.p
 
 
@@ -588,8 +584,10 @@ def run_incremental_aggregated(
     """
     m = problem.num_objectives
     pi = _check_weights(pi, m)
-    if alpha <= 0.0 or window < 1:
-        raise ValueError("need alpha > 0 and window >= 1")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    if window < 1:
+        raise ValueError("window must be at least 1")
     ledger = QueryLedger.for_objectives(m)
     history: deque = deque(maxlen=window)
 

@@ -109,6 +109,11 @@ class TestSolve:
             capsys, "solve", "--config", str(cfg), "--max-iter", "12"
         )
         assert json.loads(out)["iterations"] == 12
+        # wherever it stands in argv
+        code, out, _ = run_cli(
+            capsys, "solve", "--max-iter", "12", "--config", str(cfg)
+        )
+        assert json.loads(out)["iterations"] == 12
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -127,6 +132,18 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--max-iter", "not-a-number"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--algo", "icd", "--schedule", "harmonic:nan"), "constant c"),
+            (("--algo", "iag", "--iag-alpha", "nan"), "alpha"),
+        ],
+    )
+    def test_bad_numbers_exit_one_by_name(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, "solve", *argv)
+        assert (code, out) == (1, "")
+        assert name in err
 
 
 class TestField:
@@ -202,6 +219,95 @@ class TestField:
         )
         assert code == 1
         assert "unknown channel" in err
+
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--step", "nan", "--streamline", "0.5,0.5"), "step"),
+            (("--mask-scale", "nan"), "mask_scale"),
+            (("--mask-scale", "-1"), "mask_scale"),
+        ],
+    )
+    def test_bad_numbers_exit_one_by_name(self, capsys, tmp_path, argv, name):
+        code, out, err = run_cli(
+            capsys, "field", "--res", "10", *argv, "--out", str(tmp_path / "g.csv")
+        )
+        assert (code, out) == (1, "")
+        assert name in err
+
+
+class TestConfig:
+    """A --config file of key=value lines: a key is an option's long name
+    without the dashes; an explicit flag beats the file, the file beats the
+    built-in default, and argparse converts each value with the option's
+    type."""
+
+    FIELD_SETTINGS = {
+        "resolution": "12",
+        "box": "-3,1,-3,1",
+        "mask-scale": "0.8",
+        "step": "0.02",
+        "max-steps": "40",
+        "field": "steepest",
+    }
+
+    def run_field(self, capsys, tmp_path, *argv):
+        grid = tmp_path / "grid.csv"
+        code, out, err = run_cli(
+            capsys, "field", *argv, "--streamline", "0.5,0.5", "--out", str(grid)
+        )
+        assert (code, err) == (0, "")
+        lines = tmp_path / "grid.csv.streamlines.csv"
+        return out, grid.read_bytes(), lines.read_bytes()
+
+    def test_field_config_writes_the_bytes_of_the_flags(self, capsys, tmp_path):
+        def config(settings):
+            cfg = tmp_path / "field.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+            return self.run_field(capsys, tmp_path, "--config", str(cfg))
+
+        settings = self.FIELD_SETTINGS
+        flags = [tok for k, v in settings.items() for tok in (f"--{k}", v)]
+        from_file = config(settings)
+        assert from_file == self.run_field(capsys, tmp_path, *flags)
+        # every key took effect: leaving any one out changes the output
+        for key in settings:
+            rest = {k: v for k, v in settings.items() if k != key}
+            assert config(rest) != from_file, key
+
+    def test_bad_value_names_the_option(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("max-iter=5\nbeta=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --beta: invalid float value: 'abc'" in err
+
+    def test_streamline_key_is_ignored(self, capsys, tmp_path):
+        # --streamline appends: a text default would be read character by
+        # character, so the option stays flag-only
+        cfg = tmp_path / "field.cfg"
+        cfg.write_text("streamline=0.5,0.5\nresolution=6\n")
+        code, out, _ = run_cli(
+            capsys, "field", "--config", str(cfg), "--out", str(tmp_path / "g.csv")
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["nodes"] == 36
+        assert "streamlines" not in summary
+
+    def test_nothing_leaks_into_the_next_run(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algo=icd-armijo\nmax-iter=7\nbeta=0.25\nx0=1.5,1\n")
+        argv = ("solve", "--max-iter", "30")
+        _, before, _ = run_cli(capsys, *argv)
+        _, configured, _ = run_cli(capsys, "solve", "--config", str(cfg))
+        _, after, _ = run_cli(capsys, *argv)
+        assert json.loads(configured)["algo"] == "icd-armijo"
+        assert after == before
+        assert json.loads(after)["algo"] == "icd"
 
 
 class TestVerify:

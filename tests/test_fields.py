@@ -113,6 +113,13 @@ class TestSampleField:
         with pytest.raises(ValueError):
             sample_field(make_unbounded_linear_problem(2, 3, seed=1), BOX, 5)
 
+    @pytest.mark.parametrize("mask_scale", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("sampler", [sample_field, sample_field_reference])
+    def test_rejects_bad_mask_scale(self, fig1, sampler, mask_scale):
+        # a NaN or negative scale once turned the ratio mask off silently
+        with pytest.raises(ValueError, match="mask_scale"):
+            sampler(fig1, BOX, 10, mask_scale=mask_scale)
+
 
 REFERENCE_CASES = (
     [
@@ -386,6 +393,12 @@ class TestTraceStreamline:
     def test_unknown_field_rejected(self, fig1):
         with pytest.raises(ValueError):
             trace_streamline(fig1, (0.0, 0.0), field="bogus")
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_rejects_bad_step_by_name(self, fig1, step):
+        # a NaN step once traced a 0-step line labelled box-exit
+        with pytest.raises(ValueError, match="step"):
+            trace_streamline(fig1, (0.5, 0.5), step=step, box=BOX)
 
 
 WARM_CASES = [("figure1", WIDE)] + [

@@ -67,7 +67,9 @@ def one_dim_quadratic():
 class TestStepSchedule:
     def test_parse_forms(self):
         s = StepSchedule.parse("harmonic")
-        assert (s.kind, s.c, s.p) == ("harmonic", 1.0, 1.0)
+        assert (s.c, s.p) == (1.0, 1.0)
+        # harmonic is the power law with p = 1, step for step
+        assert StepSchedule.harmonic(0.5) == StepSchedule.power_law(0.5, 1.0)
         s = StepSchedule.parse("harmonic:0.5")
         assert s.alpha(1) == 0.5
         assert s.alpha(10) == 0.05
@@ -86,6 +88,14 @@ class TestStepSchedule:
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
+            StepSchedule.parse(text)
+
+    @pytest.mark.parametrize(
+        "text", ["harmonic:nan", "harmonic:inf", "powerlaw:nan,0.5"]
+    )
+    def test_rejects_non_finite_constant(self, text):
+        # a NaN c once failed only at the next query, on a NaN point
+        with pytest.raises(ValueError, match="constant c"):
             StepSchedule.parse(text)
 
     def test_rejects_bad_parameters(self):
@@ -554,6 +564,13 @@ class TestIncrementalAggregated:
             run_incremental_aggregated(fig1, (0.5, 0.5), (0.0, 0.0), alpha=0.1, window=0)
         with pytest.raises(ValueError):
             run_incremental_aggregated(fig1, (0.7, 0.7), (0.0, 0.0), alpha=0.1, window=2)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1])
+    def test_rejects_bad_alpha_by_name(self, fig1, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            run_incremental_aggregated(
+                fig1, (0.5, 0.5), (0.0, 0.0), alpha=alpha, window=2
+            )
 
 
 class TestClassifyRun:
