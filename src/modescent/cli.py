@@ -32,6 +32,7 @@ from .directions import (
 )
 from .fields import (
     DEFAULT_MASK_SCALE,
+    _check_streamline_settings,
     sample_field,
     trace_streamline,
     write_streamlines_csv,
@@ -236,6 +237,22 @@ def _config_defaults(args: argparse.Namespace) -> Dict[str, str]:
     }
 
 
+def _check_choices(command: argparse.ArgumentParser, args) -> None:
+    """Hold every option value to its ``choices``, as argparse holds argv.
+
+    argparse checks ``choices`` only on values from argv, so a value from a
+    ``--config`` file is checked here; the usage error names the option.
+    """
+    for action in command._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value not in action.choices:
+            options = ", ".join(map(repr, action.choices))
+            command.error(
+                f"argument {'/'.join(action.option_strings)}: invalid choice: "
+                f"{value!r} (choose from {options})"
+            )
+
+
 def _run_named_algo(problem, args):
     x0 = _parse_x0(args.x0, problem)
     algo, beta, max_iter = args.algo, args.beta, args.max_iter
@@ -324,6 +341,15 @@ def _read_seed_points(path: str) -> List[List[float]]:
 def _cmd_field(args) -> int:
     problem = problem_from_name(args.problem)
     box = _parse_box(args.box)
+    # every streamline setting is checked before the grid is sampled, so a
+    # bad one costs no sampling and leaves no grid CSV behind
+    starts = [_parse_floats(t, "--streamline") for t in (args.streamline or [])]
+    if args.streamlines:
+        starts.extend(_read_seed_points(args.streamlines))
+    if starts:
+        _check_streamline_settings(args.field, args.step)
+        if any(len(start) != problem.dimension for start in starts):
+            raise ValueError(f"streamline seeds need {problem.dimension} coordinates")
     resolution = args.resolution
     grid = sample_field(problem, box, resolution, mask_scale=args.mask_scale)
     grid.to_csv(args.out, channels=[args.channel] if args.channel else None)
@@ -333,20 +359,14 @@ def _cmd_field(args) -> int:
         "masked_nodes": int(grid.mask.sum()),
         "out": args.out,
     }
-    starts = [_parse_floats(t, "--streamline") for t in (args.streamline or [])]
-    if args.streamlines:
-        starts.extend(_read_seed_points(args.streamlines))
     if starts:
-        lines = []
-        for start in starts:
-            if len(start) != problem.dimension:
-                raise ValueError(
-                    f"streamline seeds need {problem.dimension} coordinates"
-                )
-            lines.append(trace_streamline(
+        lines = [
+            trace_streamline(
                 problem, np.array(start), field=args.field, step=args.step,
                 max_steps=args.max_steps, box=box,
-            ))
+            )
+            for start in starts
+        ]
         out_lines = args.streamlines_out or args.out + ".streamlines.csv"
         write_streamlines_csv(lines, out_lines)
         summary["streamlines_out"] = out_lines
@@ -461,6 +481,29 @@ def _suite_kkt(seed: int) -> List[dict]:
             single = _wolfe_min_norm_point(slate)[0].view(np.int64)
             differ += not np.array_equal(batched[k], single)
     checks.append(_check("batched-corral-agreement", -float(differ)))
+
+    # three-row slates through the m = 3 closed form and the Wolfe
+    # reference, a third of them with the origin in the hull of the unit
+    # rows (infeasible) and a third nearly so: same verdict, V within
+    # 1e-14 ||V|| max(1, ||V||), as for two rows
+    flips = 0
+    worst = 0.0
+    for case in range(60):
+        grads = rng.normal(size=(3, int(rng.integers(2, 6))))
+        if case % 3 == 0:
+            grads[2] = -rng.uniform(0.1, 10.0, 2) @ grads[:2]
+        elif case % 3 == 1:
+            grads[2] = -grads[0] - grads[1] + 1e-3 * rng.normal(size=grads.shape[1])
+        closed = central_direction(grads)
+        wolfe = central_direction(grads, wolfe=True)
+        if closed.kind != wolfe.kind:
+            flips += 1
+        elif wolfe.kind == DIRECTION:
+            err = float(np.linalg.norm(closed.vector - wolfe.vector))
+            worst = max(worst, err / (wolfe.norm * max(1.0, wolfe.norm)))
+    checks.append(
+        _check("triangle-agreement", -float(flips) if flips else 1e-14 - worst)
+    )
     return checks
 
 
@@ -686,8 +729,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "config", None):
             # an explicit flag beats the file, which beats the built-in
             # default; argparse converts file values with each option's type
-            parser.commands[args.command].set_defaults(**_config_defaults(args))
+            command = parser.commands[args.command]
+            command.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+            _check_choices(command, args)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "field":

@@ -25,10 +25,18 @@ the unit rows of the central QP is their midpoint x, so V = -x/||x||^2.
 Every other m runs one finite Wolfe corral iteration
 (:func:`_wolfe_min_norm_point`, Wolfe 1976), with no iteration budget to
 tune; it stops at an optimality gap of 1e-12 on the prescaled points and
-stays the tested reference for m = 2. :func:`_stacked_qp_values` solves
-both QPs for a whole stack of slates at once, for the planar field
-sampler: one broadcast for m = 2, and otherwise one batched corral over
-the stack, grouped by corral, bit for bit the per-slate Wolfe
+stays the tested reference for the closed forms. The central QP of three
+rows has a closed form of its own (:func:`_triangle_min_norm`): the
+min-norm point of the triangle's affine hull when its weights are all
+>= 0, else the best of the three edges' closed forms. It is kept to the
+central QP, whose rows are unit: the raw rows of the steepest QP can
+differ in length by many orders of magnitude, where the edges' midpoint
+form loses relative accuracy, so m = 3 steepest solves stay on Wolfe.
+:func:`_stacked_qp_values` solves both QPs for a whole stack of slates at
+once, for the planar field sampler: one broadcast for m = 2, one batched
+triangle solve for the central QP of m = 3
+(:func:`_triangle_min_norm_points`), and otherwise one batched corral
+over the stack, grouped by corral, bit for bit the per-slate Wolfe
 (:func:`_corral_min_norm_points`). The central QP can start the Wolfe
 iteration from a given corral (``start``): the incremental solvers change
 one or two slate rows per iteration and pass the previous active set, which
@@ -209,6 +217,64 @@ def _pair_min_norm(p: Array, q: Array) -> Tuple[Array, float]:
     if t == 0.5:
         return q, 1.0
     return c - t * d, 0.5 + t
+
+
+# the three edges of a triangle, as (first, second) row indices
+_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def _triangle_min_norm(points: Array) -> Tuple[Array, Array]:
+    """Minimum-norm point of the triangle conv{rows of a (3, n) array}.
+
+    Closed form from four candidates, in this order: the min-norm point of
+    the triangle's affine hull (:func:`_affine_minimizer`), kept only when
+    its weights are all >= 0 and then renormalized to sum 1, and the three
+    edges' closed forms (:func:`_pair_min_norm`). The first candidate of
+    least squared norm wins. Each candidate is a convex combination of the
+    rows, so the answer stays in the hull: a near-singular affine solve
+    (two nearly equal rows) can only lose to an edge. Returns (x, weights)
+    with x = weights @ points up to rounding and weights on the simplex.
+    This single-slate form is bit for bit each slate of the batched
+    :func:`_triangle_min_norm_points`.
+    """
+    w = _affine_minimizer(points @ points.T)
+    best, weights = math.inf, None
+    if w.min() >= 0.0:
+        w = w / float(w.sum())
+        x = points.T @ w
+        best, weights = float(x @ x), w
+    for i, j in _EDGES:
+        y, t = _pair_min_norm(points[i], points[j])
+        yy = float(y @ y)
+        if yy < best:
+            x, best = y, yy
+            weights = np.zeros(3)
+            weights[i], weights[j] = 1.0 - t, t
+    return x, weights
+
+
+def _triangle_min_norm_points(stack: Array) -> Array:
+    """:func:`_triangle_min_norm` of each slate of an (N, 3, n) stack.
+
+    One batched bordered 4 x 4 solve for the affine candidates
+    (:func:`_affine_minimizers`) and one :func:`_segment_min_norm` broadcast
+    over the 3N edges, with the operands and layouts of the single-slate
+    form, so row k of the (N, n) result is bit for bit
+    ``_triangle_min_norm(stack[k])[0]``.
+    """
+    nodes = len(stack)
+    w = _affine_minimizers(stack @ stack.transpose(0, 2, 1))
+    inner = np.flatnonzero(np.all(w >= 0.0, axis=1))
+    w = w[inner] / w[inner].sum(axis=1)[:, None]
+    candidates = np.empty((nodes, 4, stack.shape[2]))
+    candidates[inner, 0] = (stack[inner].transpose(0, 2, 1) @ w[:, :, None])[:, :, 0]
+    first, second = zip(*_EDGES)
+    candidates[:, 1:] = _segment_min_norm(stack[:, first], stack[:, second])[0]
+    # the affine candidates of the other slates are never written or read
+    sizes = np.full((nodes, 4), math.inf)
+    sizes[:, 1:] = _rowdot(candidates[:, 1:], candidates[:, 1:])
+    sizes[inner, 0] = _rowdot(candidates[inner, 0], candidates[inner, 0])
+    return candidates[np.arange(nodes), np.argmin(sizes, axis=1)]
 
 
 def _start_indices(start: Sequence[int], m: int) -> List[int]:
@@ -570,15 +636,22 @@ def central_direction(
     row or two of the slate changed. It changes the work done, not the
     answer beyond rounding; the default (no start) is the cold solve, the
     reference the warm one is tested against. A two-row slate takes the
-    closed form (the midpoint x of the two unit rows, V = -x/||x||^2) and
-    ignores ``start``; ``wolfe`` runs the Wolfe iteration there instead,
-    the reference the closed form is tested against.
+    closed form (the midpoint x of the two unit rows, V = -x/||x||^2) and a
+    three-row slate the triangle's (:func:`_triangle_min_norm`); both
+    validate ``start`` and otherwise ignore it. ``wolfe`` runs the Wolfe
+    iteration there instead, the reference the closed forms are tested
+    against.
 
     Raises ValueError on a null slate entry, a non-finite slate or a start
     index outside the slate.
     """
     scaled, scaled_norms, exps = _prescaled_rows(slate)
-    x, mu, _ = _min_norm_point(scaled / scaled_norms[:, None], start, wolfe)
+    unit = scaled / scaled_norms[:, None]
+    if len(unit) == 3 and not wolfe:
+        _start_indices(start, 3)
+        x, mu = _triangle_min_norm(unit)
+    else:
+        x, mu, _ = _min_norm_point(unit, start, wolfe)
     # the 1-D norms are np.linalg.norm's sqrt(x . x), without its dispatch
     delta = math.sqrt(x @ x)
     if delta <= QP_TOL:
@@ -673,9 +746,10 @@ def _stacked_qp_values(grads: Array) -> Tuple[Array, Array, Array]:
     raise, for a slate with a null (exactly zero) row, whose steepest value
     is 0. One pass: one power-of-two prescale of the whole stack, then the
     min-norm kernel for each QP over the whole stack: a single closed-form
-    broadcast for m = 2, and otherwise one batched corral iteration
-    (:func:`_min_norm_points`). Temporaries are O(N m (m + n)). Raises
-    ValueError on a non-finite entry.
+    broadcast for m = 2, the batched triangle form for the central QP of
+    m = 3 (:func:`_triangle_min_norm_points`), and otherwise one batched
+    corral iteration (:func:`_min_norm_points`). Temporaries are
+    O(N m (m + n)). Raises ValueError on a non-finite entry.
     """
     nodes, m, n = grads.shape
     scaled, norms, exps = _scaled_row_norms(grads.reshape(nodes * m, n))
@@ -692,7 +766,8 @@ def _stacked_qp_values(grads: Array) -> Tuple[Array, Array, Array]:
     steepest[live] = -0.5 * _rowdot(v, v)
     # central_direction: the unit rows' min-norm point x, delta = ||x||,
     # then ||-x / delta^2||
-    x = _min_norm_points(scaled[live] / norms[live][..., None])
+    unit = scaled[live] / norms[live][..., None]
+    x = _triangle_min_norm_points(unit) if m == 3 else _min_norm_points(unit)
     delta = np.sqrt(_rowdot(x, x))
     feasible = delta > QP_TOL
     x, delta = x[feasible], delta[feasible]

@@ -5,11 +5,12 @@ two-objective problem: the direction norm blows up near the efficient set
 (where the gradients oppose each other) and the per-node mask flags exactly
 those near-critical nodes. The grid is sampled in one batched pass: one
 query for the gradients of every node, one power-of-two prescale of the
-whole stack, and the min-norm kernel over all nodes at once, which for
-m = 2 is a closed form broadcast over the stack and for m >= 3 one batched
-corral over the stack, grouped by corral, bit for bit the per-slate Wolfe
-iteration. ``oracle.sample_field_reference`` keeps the old
-per-node loop, cold Wolfe solves throughout, as its reference.
+whole stack, and the min-norm kernel over all nodes at once: for m = 2 a
+closed form broadcast over the stack, for the central QP of m = 3 the
+batched triangle closed form, and otherwise one batched corral over the
+stack, grouped by corral, bit for bit the per-slate Wolfe iteration.
+``oracle.sample_field_reference`` keeps the old per-node loop, cold Wolfe
+solves throughout, as its reference.
 Streamlines integrate the normalized field with explicit Euler steps and
 halt once the local descent margin can no longer certify strict decrease
 of every objective. Each step queries its m gradients in one
@@ -191,9 +192,10 @@ def sample_field(
     gradient queries per node), then both QPs over the whole gradient
     stack, with the arithmetic of ``central_direction`` and
     ``steepest_direction`` node by node (bit for bit theirs). For m = 2
-    that is the closed form, and ``oracle.sample_field_reference`` (cold
-    Wolfe solves per node) is the reference; for m >= 3 both run Wolfe and
-    agree bit for bit.
+    that is the closed form of both QPs and for m = 3 the triangle closed
+    form of the central QP, whose reference is
+    ``oracle.sample_field_reference`` (cold Wolfe solves per node); every
+    other solve runs Wolfe on both sides, and they agree bit for bit.
     """
     box, xs, ys, spacing = _grid_axes(problem, box, resolution, mask_scale)
     lip = _positive_lipschitz(problem)
@@ -222,6 +224,15 @@ def sample_field(
         },
         mask=mask.reshape(shape),
     )
+
+
+def _check_streamline_settings(field: str, step: float) -> None:
+    """Raise ValueError unless ``field`` names a direction field and
+    ``step`` is finite and positive."""
+    if field not in ("central", "steepest"):
+        raise ValueError(f"unknown field {field!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
 def trace_streamline(
@@ -256,15 +267,14 @@ def trace_streamline(
     the previous solve's active set (``central_direction``'s ``start``):
     consecutive points are one short step apart, so the corral rarely
     changes. The cold solve is the reference the warm streamline is tested
-    against. A central step is one ``gradient_all`` query, one central
-    solve, the margin test and the Euler step: about 0.11 ms on figure1
-    (m = 2, the single-pair closed form) on a shared 2-CPU virtual machine,
-    0.06 ms of it the central solve.
+    against. The closed forms of two and three rows ignore the start. A
+    central step is one ``gradient_all`` query, one central solve, the
+    margin test and the Euler step: about 0.11 ms on figure1 (m = 2, the
+    single-pair closed form) on a shared 2-CPU virtual machine, 0.06 ms of
+    it the central solve, and about 0.09 ms on ``random-quadratic:3,2,0``
+    (m = 3, the triangle closed form).
     """
-    if field not in ("central", "steepest"):
-        raise ValueError(f"unknown field {field!r}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+    _check_streamline_settings(field, step)
     x = np.array(x0, dtype=float)
     checked_box = None if box is None else _check_box(box, problem.dimension)
     lip = _positive_lipschitz(problem)

@@ -7,7 +7,8 @@ because exhaustive search is only viable there; callers must not feed them
 higher-dimensional data. One reference does share the QP solvers:
 :func:`sample_field_reference`, the per-node loop that the batched field
 sampler replaced, solves each node's QPs with cold Wolfe iterations, so it
-checks the batching and the m = 2 closed form, not the QPs themselves.
+checks the batching and the m = 2 and m = 3 closed forms, not the QPs
+themselves.
 """
 
 from __future__ import annotations
@@ -365,9 +366,9 @@ def sample_field_reference(
     callables, so the reference shares no query code with the batched
     ``stacked`` path), then ``steepest_direction`` and
     ``central_direction`` with the Wolfe iteration for every m (no m = 2
-    closed form), cold. Channels and mask follow the same rules, with row
-    norms after the power-of-two prescale and a row null only when it is
-    exactly zero.
+    or m = 3 closed form), cold. Channels and mask follow the same rules,
+    with row norms after the power-of-two prescale and a row null only
+    when it is exactly zero.
     """
     box, xs, ys, spacing = _grid_axes(problem, box, resolution, mask_scale)
     lip = _positive_lipschitz(problem)

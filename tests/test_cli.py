@@ -236,6 +236,34 @@ class TestField:
         assert (code, out) == (1, "")
         assert name in err
 
+    @pytest.mark.parametrize(
+        "argv, config, name",
+        [
+            (("--step", "nan", "--streamline", "0.5,0.5"), "", "step"),
+            (("--streamline", "0.5,0.5"), "field=bogus\n", "field"),
+            (("--streamline", "0.5,0.5,0.5"), "", "coordinates"),
+            (("--streamlines", "missing.csv"), "", "missing.csv"),
+        ],
+        ids=["step", "field", "seed-coordinates", "seed-file"],
+    )
+    def test_bad_streamline_setting_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, argv, config, name
+    ):
+        # every streamline setting is checked before the grid is sampled:
+        # a bad one leaves no grid CSV that looks like a finished run
+        monkeypatch.chdir(tmp_path)
+        if config:
+            Path("field.cfg").write_text(config)
+            argv += ("--config", "field.cfg")
+        try:
+            code = cli.main(["field", "--res", "10", *argv, "--out", "g.csv"])
+        except SystemExit as exc:  # a config value outside the choices
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert name in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == (["field.cfg"] if config else [])
+
 
 class TestConfig:
     """A --config file of key=value lines: a key is an option's long name
@@ -284,6 +312,18 @@ class TestConfig:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "argument --beta: invalid float value: 'abc'" in err
+
+    @pytest.mark.parametrize("algo", ["icd", "steepest"])
+    def test_value_outside_the_choices_names_the_key(self, capsys, tmp_path, algo):
+        # argparse checks choices on argv only; a file value is held to
+        # them too, whether or not the algorithm reads it
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"algo={algo}\nmax-iter=5\nslate-init=bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --slate-init: invalid choice: 'bogus'" in err
 
     def test_streamline_key_is_ignored(self, capsys, tmp_path):
         # --streamline appends: a text default would be read character by

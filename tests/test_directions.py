@@ -1,7 +1,9 @@
 """Direction solvers: the central QP, the regularized min-max, helpers."""
 
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,15 +281,17 @@ class TestFloatRange:
 
     def test_outcome_is_the_reference_formulas_bit_for_bit(self, rng):
         # the certificate written out one quantity per line, with the
-        # broadcast kernel for two rows; every slate size, active sets with
-        # and without zero weights, infeasible slates, rows at 2**-1070 to
-        # 2**1020
+        # broadcast kernel for two rows and the triangle form for three;
+        # every slate size, active sets with and without zero weights,
+        # infeasible slates, rows at 2**-1070 to 2**1020
         def reference(slate):
             scaled, norms, exps = directions._prescaled_rows(slate)
             unit = scaled / norms[:, None]
             if len(slate) == 2:
                 x, w = directions._segment_min_norm(unit[0], unit[1])
                 mu = np.array([1.0 - w, w])
+            elif len(slate) == 3:
+                x, mu = directions._triangle_min_norm(unit)
             else:
                 x, mu, _ = directions._wolfe_min_norm_point(unit)
             delta = math.sqrt(x @ x)
@@ -543,6 +547,135 @@ class TestPairMinNorm:
         assert w == w_ref == float(vertex)
         assert _same_bits(x, unit[vertex]) and _same_bits(x_ref, unit[vertex])
         assert central_direction(np.array(slate)).active_set == (vertex,)
+
+
+def _exact_min_norm(points):
+    """Exact minimum-norm point of conv{rows of points}, two or three rows.
+
+    Rational arithmetic on the float rows as given: each face of the hull
+    (every vertex, edge and, for three rows, the triangle) gets the
+    min-norm point of its affine hull from the bordered system
+    [G 1; 1 0] [w; lam] = [0; 1], solved by Gauss-Jordan elimination in
+    Fractions. Faces whose system is singular (affinely dependent rows) or
+    whose weights are not all >= 0 are skipped; the least squared norm
+    wins. Shares no code with the kernels. Returns the point as Fractions.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(points).tolist()]
+    best, point = None, None
+    for size in range(1, len(rows) + 1):
+        for face in itertools.combinations(rows, size):
+            system = [[sum(map(Fraction.__mul__, a, b)) for b in face] + [1, 0]
+                      for a in face]
+            system.append([1] * size + [0, 1])
+            for c in range(size + 1):
+                pivot = next((r for r in range(c, size + 1) if system[r][c]), None)
+                if pivot is None:
+                    break
+                system[c], system[pivot] = system[pivot], system[c]
+                for r in range(size + 1):
+                    if r != c and system[r][c]:
+                        f = system[r][c] / system[c][c]
+                        system[r] = [a - f * b for a, b in zip(system[r], system[c])]
+            else:
+                w = [system[i][-1] / system[i][i] for i in range(size)]
+                if min(w) < 0:
+                    continue
+                x = [sum(wi * row[k] for wi, row in zip(w, face))
+                     for k in range(len(face[0]))]
+                xx = sum(v * v for v in x)
+                if best is None or xx < best:
+                    best, point = xx, x
+    return point
+
+
+def _exact_distance(x, exact):
+    """||x - exact|| for a float point x, rounded once at the end."""
+    return math.sqrt(sum((Fraction(a) - b) ** 2 for a, b in zip(x.tolist(), exact)))
+
+
+def _unit_rows(slate):
+    """The unit rows the central QP hands its kernel."""
+    scaled, norms, _ = directions._prescaled_rows(np.asarray(slate, dtype=float))
+    return scaled / norms[:, None]
+
+
+def _triangle_slate(rng, case):
+    """Seeded 3-row slate: generic, in a common cone, with a row duplicated
+    up to a positive factor, with the origin in the hull of the unit rows,
+    or nearly so (at distance 1e-9 to 1e-3); rows of lengths e^-3 to e^3
+    at scale 2**-1000, 1 or 2**1000."""
+    n = int(rng.integers(1, 6))
+    g = rng.normal(size=(3, n))
+    kind = case % 5
+    if kind == 1:
+        g += 3.0 * rng.normal(size=n)
+    elif kind == 2:
+        g[2] = g[int(rng.integers(2))] * rng.choice([1.0, 3.0])
+    elif kind == 3:
+        g[2] = -rng.uniform(0.1, 10.0, 2) @ g[:2]
+    elif kind == 4:
+        g[2] = -g[0] - g[1] + 10.0 ** rng.uniform(-9.0, -3.0) * rng.normal(size=n)
+    g *= np.exp(rng.uniform(-3.0, 3.0, (3, 1)))
+    return np.ldexp(g, (-1000, 0, 1000)[(case // 5) % 3])
+
+
+class TestExactReference:
+    """The closed forms against the exact min-norm point of the float unit
+    rows, in rational arithmetic."""
+
+    # about 45 units of rounding on the unit rows, set from the dtype
+    BOUND = 1e-14
+
+    def test_triangle_matches_the_exact_point(self):
+        rng = np.random.default_rng(43)
+        for case in range(300):
+            unit = _unit_rows(_triangle_slate(rng, case))
+            x, w = directions._triangle_min_norm(unit)
+            assert _exact_distance(x, _exact_min_norm(unit)) <= self.BOUND, case
+            assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.abs(w @ unit - x).max() <= 1e-15, case
+
+    def test_near_duplicate_rows_where_wolfe_raises(self):
+        # the third row is the first plus noise of 1e-12 to 1e-8: the Wolfe
+        # iteration runs out on some of these slates; the closed form stays
+        # within the bound of the exact point on every one
+        rng = np.random.default_rng(53)
+        raised = 0
+        for case in range(300):
+            g = rng.normal(size=(3, 3))
+            g[2] = g[0] + 10.0 ** rng.uniform(-12.0, -8.0) * rng.normal(size=3)
+            unit = _unit_rows(g)
+            x, _ = directions._triangle_min_norm(unit)
+            assert _exact_distance(x, _exact_min_norm(unit)) <= self.BOUND, case
+            try:
+                directions._wolfe_min_norm_point(unit)
+            except DirectionSolverError:
+                raised += 1
+                assert central_direction(g).kind in (DIRECTION, INFEASIBLE)
+        assert raised >= 30
+
+    def test_near_parallel_pair_keeps_the_exact_vertex(self):
+        # two unit rows 1e-8 apart: their float norms differ from 1 by about
+        # the squared distance between them, so the exact minimizer of the
+        # rows as rounded is often a vertex, not the midpoint. The closed
+        # form finds it; the midpoint misses it by up to ||u1 - u2|| / 2
+        rng = np.random.default_rng(59)
+        vertices = 0
+        for case in range(300):
+            p = rng.normal(size=int(rng.integers(2, 6)))
+            unit = _unit_rows([p, p + 1e-8 * rng.normal(size=len(p))])
+            x, w = directions._pair_min_norm(unit[0], unit[1])
+            exact = _exact_min_norm(unit)
+            assert _exact_distance(x, exact) <= self.BOUND, case
+            if w in (0.0, 1.0):
+                vertices += 1
+                midpoint = 0.5 * (unit[0] + unit[1])
+                assert _exact_distance(midpoint, exact) > 100.0 * self.BOUND, case
+        assert vertices >= 100
+        for slate in ([[1.0, 0.0], [1.0, 1e-8]], [[3.0, 4.0], [3.0, 4.0 + 1e-8]]):
+            unit = _unit_rows(slate)
+            x, _ = directions._pair_min_norm(unit[0], unit[1])
+            assert _exact_distance(x, _exact_min_norm(unit)) == 0.0
 
 
 def _corral_stack(rng, m, n, count):

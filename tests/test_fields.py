@@ -146,22 +146,29 @@ class TestBatchedSampler:
         fast = sample_field(problem, box, res)
         ref = sample_field_reference(problem, box, res)
         assert np.array_equal(fast.mask, ref.mask)
-        if problem.num_objectives >= 3:  # both run Wolfe: the same bits
+        m = problem.num_objectives
+        if m >= 4:  # both run Wolfe: the same bits
             for channel in FieldGrid.CHANNEL_ORDER:
                 assert np.array_equal(fast.channels[channel], ref.channels[channel])
             return
         assert np.array_equal(
             fast.channels["min_grad_norm"], ref.channels["min_grad_norm"]
         )
-        # both normalize the rows first, which perturbs the hull point by
-        # about one rounding and ||V|| = 1/delta by eps ||V|| relative, so
-        # the agreement is relative and widens with ||V|| (as in the kkt
-        # suite's closed-form-agreement check)
+        # the m = 2 and m = 3 closed forms against Wolfe: both normalize the
+        # rows first, which perturbs the hull point by about one rounding
+        # and ||V|| = 1/delta by eps ||V|| relative, so the agreement is
+        # relative and widens with ||V|| (as in the kkt suite's
+        # closed-form-agreement check)
         a, b = fast.channels["central_norm"], ref.channels["central_norm"]
         finite = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), finite)
         a, b = a[finite], b[finite]
         assert (np.abs(a - b) <= 1e-14 * b * np.maximum(1.0, b)).all()
+        if m == 3:  # the steepest QP runs Wolfe on both sides: the same bits
+            assert np.array_equal(
+                fast.channels["steepest_value"], ref.channels["steepest_value"]
+            )
+            return
         # Wolfe stops at a gap of 1e-12 * 4**e on a slate scaled by 2**-e,
         # which bounds its value error by the same; the closed form is exact
         # to rounding
