@@ -25,8 +25,8 @@ import numpy as np
 from .directions import (
     DIRECTION,
     INFEASIBLE,
+    _min_norm_point,
     _min_norm_points,
-    _wolfe_min_norm_point,
     central_direction,
     steepest_direction,
 )
@@ -468,19 +468,20 @@ def _suite_kkt(seed: int) -> List[dict]:
         _check("closed-form-agreement", -float(flips) if flips else 1e-14 - worst)
     )
 
-    # planar stacks of three to six rows, some with a duplicated row (a
-    # singular corral system) or an opposed pair, through the batched corral
-    # and the per-slate Wolfe iteration: every slate must agree in every bit
+    # planar stacks of two to six rows, some with a duplicated row (a
+    # singular affine system) or an opposed pair, through the stack and the
+    # single-slate forms of the min-norm kernel: every slate must agree in
+    # every bit
     differ = 0
     for case in range(60):
-        stack = rng.normal(size=(16, 3 + case % 4, 2))
+        stack = rng.normal(size=(16, 2 + case % 5, 2))
         stack[::4, -1] = stack[::4, 0]
         stack[1::4, 1] = -rng.uniform(0.1, 10.0) * stack[1::4, 0]
         batched = _min_norm_points(stack).view(np.int64)
         for k, slate in enumerate(stack):
-            single = _wolfe_min_norm_point(slate)[0].view(np.int64)
+            single = _min_norm_point(slate)[0].view(np.int64)
             differ += not np.array_equal(batched[k], single)
-    checks.append(_check("batched-corral-agreement", -float(differ)))
+    checks.append(_check("batched-kernel-agreement", -float(differ)))
 
     # three-row slates through the m = 3 closed form and the Wolfe
     # reference, a third of them with the origin in the hull of the unit

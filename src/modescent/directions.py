@@ -18,29 +18,27 @@ Two convex programs are solved here, both over a slate of m gradient
 
 Both duals ask for the minimum-norm point of a convex hull: of the
 normalized gradients for the central QP, of the raw gradients for the
-steepest one, and one kernel (:func:`_min_norm_point`) serves both. For
-m = 2 the hull is a segment and the kernel takes its closed form: the
-projection of the origin onto the segment (Sener & Koltun 2018), which for
-the unit rows of the central QP is their midpoint x, so V = -x/||x||^2.
-Every other m runs one finite Wolfe corral iteration
-(:func:`_wolfe_min_norm_point`, Wolfe 1976), with no iteration budget to
-tune; it stops at an optimality gap of 1e-12 on the prescaled points and
-stays the tested reference for the closed forms. The central QP of three
-rows has a closed form of its own (:func:`_triangle_min_norm`): the
-min-norm point of the triangle's affine hull when its weights are all
->= 0, else the best of the three edges' closed forms. It is kept to the
-central QP, whose rows are unit: the raw rows of the steepest QP can
-differ in length by many orders of magnitude, where the edges' midpoint
-form loses relative accuracy, so m = 3 steepest solves stay on Wolfe.
+steepest one, and one kernel table serves both, choosing by the number of
+rows m in one place (:func:`_min_norm_point` for one slate,
+:func:`_min_norm_points` for a stack). For m = 2 the hull is a segment and
+the kernel takes its closed form: the projection of the origin onto the
+segment (Sener & Koltun 2018), which for the unit rows of the central QP is
+their midpoint x, so V = -x/||x||^2; it works from the shorter row when the
+rows differ widely in length, so raw rows keep their relative accuracy.
+For m = 3 the hull is a triangle (:func:`_triangle_min_norm`): the min-norm
+point of its affine hull when its weights are all >= 0, else the best of
+the three edges' closed forms. Every other m runs one finite Wolfe corral
+iteration (:func:`_wolfe_min_norm_point`, Wolfe 1976), with no iteration
+budget to tune; it stops at an optimality gap of 1e-12 on the prescaled
+points and stays the tested reference for the closed forms.
 :func:`_stacked_qp_values` solves both QPs for a whole stack of slates at
-once, for the planar field sampler: one broadcast for m = 2, one batched
-triangle solve for the central QP of m = 3
-(:func:`_triangle_min_norm_points`), and otherwise one batched corral
-over the stack, grouped by corral, bit for bit the per-slate Wolfe
-(:func:`_corral_min_norm_points`). The central QP can start the Wolfe
-iteration from a given corral (``start``): the incremental solvers change
-one or two slate rows per iteration and pass the previous active set, which
-leaves about one affine solve per QP instead of one per active row. Each
+once, for the planar field sampler, through the stack form of the table:
+one broadcast for m = 2, one batched triangle solve for m = 3
+(:func:`_triangle_min_norm_points`), and the Wolfe iteration slate by slate
+otherwise. The central QP can start the Wolfe iteration from a given
+corral (``start``): the incremental solvers change one or two slate rows
+per iteration and pass the previous active set, which leaves about one
+affine solve per QP instead of one per active row. Each
 slate is prescaled by powers of two before any norm is taken, which is
 exact, so no intermediate overflows or underflows and the answers are bit
 for bit those of the unscaled arithmetic wherever that does not. A result
@@ -51,7 +49,6 @@ only when it is exactly zero.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -183,34 +180,65 @@ def _segment_min_norm(p: Array, q: Array) -> Tuple[Array, Array]:
     t = c . (p - q) / ||p - q||^2 and x = c - t (p - q), equal in exact
     arithmetic; the rounding of t then scales with ||c|| instead of ||p||, so
     a nearly opposed pair (a nearly critical central QP, ||x|| small) keeps
-    its relative accuracy. A clipped w returns the endpoint itself. For unit
-    p and q, t is 0 up to rounding and x their midpoint; p == q gives w = 0,
-    the first vertex, as the Wolfe iteration's lowest-index tie-break does.
+    its relative accuracy. When one row is much shorter than the midpoint,
+    4 min(||p||^2, ||q||^2) <= ||c||^2, x lies within the short row's length
+    of the origin and the midpoint form would round it at the scale of the
+    long row; such pairs are evaluated from the short row a instead, as
+    x = a - s (a - b) with s = clip(a . (a - b) / ||a - b||^2, 0, 1). The
+    test is taken in its equivalent form 3 ||c||^2 + ||d||^2 <= 4 |c . d|,
+    from the products the midpoint form already has, and the sign of
+    c . d = (||p||^2 - ||q||^2) / 2 names the short row (ties to p). Unit
+    rows never take that branch (the left side is at least 3, the right
+    about 1e-16), so the central QP's answers are the midpoint form's. A
+    clipped w returns the endpoint itself. For unit p and q, t is 0 up to
+    rounding and x their midpoint; p == q gives w = 0, the first vertex, as
+    the Wolfe iteration's lowest-index tie-break does.
     Exact to rounding, so it needs no optimality gap. This batched form is
     the field sampler's kernel and the reference of the single-pair
-    :func:`_pair_min_norm`.
+    :func:`_pair_min_norm`; only the short-row pairs are gathered for the
+    second form.
     """
     c = 0.5 * (p + q)
     d = p - q
-    dd = _rowdot(d, d)
-    t = np.divide(_rowdot(c, d), dd, out=np.full_like(dd, -0.5), where=dd > 0.0)
+    dd, cd = _rowdot(d, d), _rowdot(c, d)
+    t = np.divide(cd, dd, out=np.full_like(dd, -0.5), where=dd > 0.0)
     t = np.clip(t, -0.5, 0.5)[..., None]
     x = np.where(t == -0.5, p, np.where(t == 0.5, q, c - t * d))
-    return x, 0.5 + t[..., 0]
+    w = np.asarray(0.5 + t[..., 0])
+    short = 3.0 * _rowdot(c, c) + dd <= 4.0 * np.abs(cd)
+    if short.any():
+        first = (cd <= 0.0)[short][:, None]
+        ps, qs = p[short], q[short]
+        a, b = np.where(first, ps, qs), np.where(first, qs, ps)
+        e = a - b
+        ee = _rowdot(e, e)
+        s = np.divide(_rowdot(a, e), ee, out=np.zeros_like(ee), where=ee > 0.0)
+        s = np.clip(s, 0.0, 1.0)[:, None]
+        x[short] = np.where(s == 0.0, a, np.where(s == 1.0, b, a - s * e))
+        w[short] = np.where(first, s, 1.0 - s)[:, 0]
+    return x, w
 
 
 def _pair_min_norm(p: Array, q: Array) -> Tuple[Array, float]:
     """:func:`_segment_min_norm` of one pair of 1-D rows, bit for bit.
 
-    The same operations on the same operands, with the scalars t and w as
-    Python floats instead of broadcast arrays, which leaves a few numpy
+    The same operations on the same operands, with the scalars t, s and w
+    as Python floats instead of broadcast arrays, which leaves a few numpy
     calls per pair instead of about twenty. A clipped w returns the
     endpoint row itself.
     """
     c = 0.5 * (p + q)
     d = p - q
-    dd = float(d @ d)
-    t = float(c @ d) / dd if dd > 0.0 else -0.5
+    dd, cd = float(d @ d), float(c @ d)
+    if 3.0 * float(c @ c) + dd <= 4.0 * abs(cd):
+        a, b = (p, q) if cd <= 0.0 else (q, p)
+        e = a - b
+        ee = float(e @ e)
+        s = float(a @ e) / ee if ee > 0.0 else 0.0
+        s = min(max(s, 0.0), 1.0)
+        x = a if s == 0.0 else b if s == 1.0 else a - s * e
+        return x, s if cd <= 0.0 else 1.0 - s
+    t = cd / dd if dd > 0.0 else -0.5
     t = min(max(t, -0.5), 0.5)
     if t == -0.5:
         return p, 0.0
@@ -288,34 +316,46 @@ def _start_indices(start: Sequence[int], m: int) -> List[int]:
 def _min_norm_point(
     points: Array, start: Sequence[int] = (), wolfe: bool = False
 ) -> Tuple[Array, Array, List[int]]:
-    """Minimum-norm point of conv{rows of points}.
+    """Minimum-norm point of conv{rows of points}: the kernel table.
 
-    Two rows take the closed form of :func:`_segment_min_norm`, in its
-    single-pair form :func:`_pair_min_norm`; there ``start`` is validated
-    and has nothing left to do. Every other m, and m = 2 with ``wolfe``
-    set, runs :func:`_wolfe_min_norm_point`, the reference the closed form
-    is tested against. Returns (x, weights, support) as that function does.
+    Two rows take the segment's closed form (:func:`_pair_min_norm`), three
+    the triangle's (:func:`_triangle_min_norm`); for both, ``start`` is
+    validated and has nothing left to do. Every other m, and any m with
+    ``wolfe`` set, runs :func:`_wolfe_min_norm_point`, the reference the
+    closed forms are tested against. Returns (x, weights, support) as that
+    function does.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] != 2 or wolfe:
+    m = pts.shape[0]
+    if wolfe or m not in (2, 3):
         return _wolfe_min_norm_point(pts, start)
-    _start_indices(start, 2)
-    x, w = _pair_min_norm(pts[0], pts[1])
-    weights = (1.0 - w, w)
-    return x, np.array(weights), [i for i in (0, 1) if weights[i] > 0.0]
+    _start_indices(start, m)
+    if m == 2:
+        x, w = _pair_min_norm(pts[0], pts[1])
+        weights = np.array((1.0 - w, w))
+    else:
+        x, weights = _triangle_min_norm(pts)
+    return x, weights, [i for i in range(m) if weights[i] > 0.0]
 
 
 def _min_norm_points(stack: Array) -> Array:
     """Minimum-norm point of each slate of an (N, m, n) stack, cold.
 
-    For m = 2 one closed-form broadcast over the whole stack; otherwise one
-    batched Wolfe corral iteration over the stack, grouped by corral
-    (:func:`_corral_min_norm_points`). Row k of the (N, n) result is bit
-    for bit ``_min_norm_point(stack[k])[0]``.
+    The stack form of :func:`_min_norm_point`'s table: for m = 2 one
+    closed-form broadcast over the whole stack (:func:`_segment_min_norm`),
+    for m = 3 one batched triangle solve (:func:`_triangle_min_norm_points`),
+    and otherwise the Wolfe iteration one slate at a time. Row k of the
+    (N, n) result is bit for bit ``_min_norm_point(stack[k])[0]``.
     """
-    if stack.shape[1] == 2:
+    m = stack.shape[1]
+    if m == 2:
         return _segment_min_norm(stack[:, 0], stack[:, 1])[0]
-    return _corral_min_norm_points(stack)
+    if m == 3:
+        return _triangle_min_norm_points(stack)
+    x = np.empty((len(stack), stack.shape[2]))
+    for k, slate in enumerate(stack):
+        x[k] = _wolfe_min_norm_point(slate)[0]
+    return x
 
 
 def _affine_minimizers(gram_s: Array) -> Array:
@@ -341,113 +381,6 @@ def _affine_minimizers(gram_s: Array) -> Array:
     rescale = (np.abs(total - 1.0) > 1e-8) & (np.abs(total) > 1e-300)
     beta[rescale] /= total[rescale, None]
     return beta
-
-
-# phases of a slate in the batched corral iteration: the minor cycle's
-# affine step, or the optimality test of a major step
-_MINOR, _TEST = 0, 1
-
-
-def _corral_min_norm_points(stack: Array) -> Array:
-    """Cold :func:`_wolfe_min_norm_point` of every slate of an (N, m, n) stack.
-
-    The corral iteration runs in lock step over the stack: slates advance
-    in groups keyed by (phase, ordered corral), and each round takes every
-    group one step with stacked operations of the per-slate shapes and
-    layouts, so BLAS and LAPACK run the single solve's kernels on the same
-    operands. Row k of the (N, n) result is bit for bit
-    ``_wolfe_min_norm_point(stack[k])[0]``. Each slate keeps the per-slate
-    budgets; when slates fail, the lowest one's DirectionSolverError is
-    raised, the one the slate-by-slate loop would raise. Temporaries are
-    the (N, m, m) Gram stack and per-group slices of it and of the stack.
-    """
-    nodes, m, n = stack.shape
-    x = np.empty((nodes, n))
-    gram = stack @ stack.transpose(0, 2, 1)
-    majors = np.zeros(nodes, dtype=int)
-    minors = np.zeros(nodes, dtype=int)
-    gaps = np.full(nodes, np.nan)
-    failures = {}
-    first = np.argmin(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-    groups = defaultdict(list)
-    for j in np.flatnonzero(np.bincount(first, minlength=m)):
-        slates = np.flatnonzero(first == j)
-        groups[(_TEST, (int(j),))].append((slates, np.ones((len(slates), 1))))
-    while groups:
-        regrouped = defaultdict(list)
-        for (phase, corral), parts in groups.items():
-            slates = np.concatenate([part[0] for part in parts])
-            w = np.concatenate([part[1] for part in parts])
-            c = np.array(corral)
-            sub = gram[slates[:, None, None], c[:, None], c]
-            if phase == _MINOR:
-                beta = _affine_minimizers(sub)
-                done = np.all(beta >= -1e-14, axis=1)
-                if done.any():
-                    wd = np.clip(beta[done], 0.0, None)
-                    total = wd.sum(axis=1)
-                    positive = total > 0
-                    wd[positive] = wd[positive] / total[positive, None]
-                    regrouped[(_TEST, corral)].append((slates[done], wd))
-                if done.all():
-                    continue
-                slates, beta, w = slates[~done], beta[~done], w[~done]
-                shrink = beta < -1e-14
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(shrink, w / (w - beta), np.inf)
-                theta = ratios.min(axis=1)
-                w = w + theta[:, None] * (beta - w)
-                w[w < 1e-13] = 0.0
-                keep = w > 0.0
-                empty = np.flatnonzero(~keep.any(axis=1))
-                top = np.argmax(beta[empty], axis=1)
-                keep[empty, top] = True
-                w[empty, top] = 1.0
-                minors[slates] += 1
-                out = minors[slates] >= 2 * m + 8
-                message = "minimum-norm-point corral loop ran out"
-                failures.update(dict.fromkeys(slates[out].tolist(), message))
-                slates, w, keep = slates[~out], w[~out], keep[~out]
-                patterns, which = np.unique(keep, axis=0, return_inverse=True)
-                for p, pattern in enumerate(patterns):
-                    rows = which == p
-                    regrouped[(_MINOR, tuple(c[pattern].tolist()))].append(
-                        (slates[rows], w[rows][:, pattern])
-                    )
-                continue
-            # gram[:, support] of a slate is the transpose of its corral
-            # rows (the Gram is symmetric), in the same Fortran layout
-            cols = gram[slates[:, None], c].transpose(0, 2, 1)
-            d = (cols @ w[:, :, None])[:, :, 0]
-            xx = ((w[:, None, :] @ sub) @ w[:, :, None])[:, 0, 0]
-            j = np.argmin(d, axis=1)
-            dj = d[np.arange(len(slates)), j]
-            gaps[slates] = xx - dj
-            done = dj >= xx - _OPT_TOL
-            points = stack[slates[done][:, None], c].transpose(0, 2, 1)
-            x[slates[done]] = (points @ w[done][:, :, None])[:, :, 0]
-            stalled = ~done & (j[:, None] == c).any(axis=1)
-            message = "minimum-norm-point iteration stalled on a corral vertex"
-            failures.update(dict.fromkeys(slates[stalled].tolist(), message))
-            grow = ~done & ~stalled
-            slates, w, j = slates[grow], w[grow], j[grow]
-            majors[slates] += 1
-            out = majors[slates] >= 24 * m + 120
-            message = "minimum-norm-point iteration cap exceeded"
-            failures.update(dict.fromkeys(slates[out].tolist(), message))
-            slates, w, j = slates[~out], w[~out], j[~out]
-            minors[slates] = 0
-            w = np.concatenate([w, np.zeros((len(w), 1))], axis=1)
-            for vertex in np.flatnonzero(np.bincount(j, minlength=m)):
-                rows = j == vertex
-                regrouped[(_MINOR, corral + (int(vertex),))].append(
-                    (slates[rows], w[rows])
-                )
-        groups = regrouped
-    if failures:
-        slate = min(failures)
-        raise DirectionSolverError(failures[slate], float(gaps[slate]))
-    return x
 
 
 def _wolfe_min_norm_point(
@@ -635,23 +568,19 @@ def central_direction(
     indices, typically the ``active_set`` of the previous solve when only a
     row or two of the slate changed. It changes the work done, not the
     answer beyond rounding; the default (no start) is the cold solve, the
-    reference the warm one is tested against. A two-row slate takes the
-    closed form (the midpoint x of the two unit rows, V = -x/||x||^2) and a
-    three-row slate the triangle's (:func:`_triangle_min_norm`); both
-    validate ``start`` and otherwise ignore it. ``wolfe`` runs the Wolfe
-    iteration there instead, the reference the closed forms are tested
-    against.
+    reference the warm one is tested against. The kernel is chosen by
+    :func:`_min_norm_point`: a two-row slate takes the closed form (the
+    midpoint x of the two unit rows, V = -x/||x||^2) and a three-row slate
+    the triangle's (:func:`_triangle_min_norm`); both validate ``start``
+    and otherwise ignore it. ``wolfe`` runs the Wolfe iteration there
+    instead, the reference the closed forms are tested against.
 
     Raises ValueError on a null slate entry, a non-finite slate or a start
     index outside the slate.
     """
     scaled, scaled_norms, exps = _prescaled_rows(slate)
     unit = scaled / scaled_norms[:, None]
-    if len(unit) == 3 and not wolfe:
-        _start_indices(start, 3)
-        x, mu = _triangle_min_norm(unit)
-    else:
-        x, mu, _ = _min_norm_point(unit, start, wolfe)
+    x, mu, _ = _min_norm_point(unit, start, wolfe)
     # the 1-D norms are np.linalg.norm's sqrt(x . x), without its dispatch
     delta = math.sqrt(x @ x)
     if delta <= QP_TOL:
@@ -718,10 +647,14 @@ def steepest_direction(
 
     V_s is minus the minimum-norm point of conv{g_i} (the dual, minimize
     ||sum lambda_i g_i||^2 over the simplex), found on the slate scaled by
-    2**-e to a largest entry in [0.5, 1). Two gradients take the closed
-    form, the projection of the origin onto their segment, exact to
-    rounding. Other m, and m = 2 with ``wolfe`` set (the reference for the
-    closed form), run the Wolfe iteration, whose stopping test bounds the
+    2**-e to a largest entry in [0.5, 1), by the kernel
+    :func:`_min_norm_point` chooses. Two gradients take the closed form,
+    the projection of the origin onto their segment, and three the
+    triangle's; both are exact to rounding, within 1e-14 of the exact point
+    relative to its norm for two rows of lengths e^-18 to e^3, and within
+    1e-6 for three (the triangle's affine solve on a Gram that wide). Other
+    m, and m = 2 or 3 with ``wolfe`` set (the reference for the closed
+    forms), run the Wolfe iteration, whose stopping test bounds the
     optimality gap: max_i g_i . V_s + ||V_s||^2 <= 1e-12 * 4**e, which is
     below 4e-12 * max_ij g_ij^2. steepest_direction(2**k * G) is
     2**k times the result for G, bit for bit, wherever neither overflows or
@@ -745,11 +678,11 @@ def _stacked_qp_values(grads: Array) -> Tuple[Array, Array, Array]:
     for an infeasible central QP and, where ``central_direction`` would
     raise, for a slate with a null (exactly zero) row, whose steepest value
     is 0. One pass: one power-of-two prescale of the whole stack, then the
-    min-norm kernel for each QP over the whole stack: a single closed-form
-    broadcast for m = 2, the batched triangle form for the central QP of
-    m = 3 (:func:`_triangle_min_norm_points`), and otherwise one batched
-    corral iteration (:func:`_min_norm_points`). Temporaries are
-    O(N m (m + n)). Raises ValueError on a non-finite entry.
+    stack form of the kernel table (:func:`_min_norm_points`) for each QP
+    over the whole stack: a single closed-form broadcast for m = 2, the
+    batched triangle form for m = 3, and the Wolfe iteration slate by slate
+    otherwise. Temporaries are O(N m (m + n)). Raises ValueError on a
+    non-finite entry.
     """
     nodes, m, n = grads.shape
     scaled, norms, exps = _scaled_row_norms(grads.reshape(nodes * m, n))
@@ -767,7 +700,7 @@ def _stacked_qp_values(grads: Array) -> Tuple[Array, Array, Array]:
     # central_direction: the unit rows' min-norm point x, delta = ||x||,
     # then ||-x / delta^2||
     unit = scaled[live] / norms[live][..., None]
-    x = _triangle_min_norm_points(unit) if m == 3 else _min_norm_points(unit)
+    x = _min_norm_points(unit)
     delta = np.sqrt(_rowdot(x, x))
     feasible = delta > QP_TOL
     x, delta = x[feasible], delta[feasible]

@@ -5,12 +5,11 @@ two-objective problem: the direction norm blows up near the efficient set
 (where the gradients oppose each other) and the per-node mask flags exactly
 those near-critical nodes. The grid is sampled in one batched pass: one
 query for the gradients of every node, one power-of-two prescale of the
-whole stack, and the min-norm kernel over all nodes at once: for m = 2 a
-closed form broadcast over the stack, for the central QP of m = 3 the
-batched triangle closed form, and otherwise one batched corral over the
-stack, grouped by corral, bit for bit the per-slate Wolfe iteration.
-``oracle.sample_field_reference`` keeps the old per-node loop, cold Wolfe
-solves throughout, as its reference.
+whole stack, and the min-norm kernel over all nodes at once, for both
+QPs: for m = 2 a closed form broadcast over the stack, for m = 3 the
+batched triangle closed form, and otherwise the Wolfe iteration slate by
+slate. ``oracle.sample_field_reference`` keeps the old per-node loop, cold
+Wolfe solves throughout, as its reference.
 Streamlines integrate the normalized field with explicit Euler steps and
 halt once the local descent margin can no longer certify strict decrease
 of every objective. Each step queries its m gradients in one
@@ -192,10 +191,11 @@ def sample_field(
     gradient queries per node), then both QPs over the whole gradient
     stack, with the arithmetic of ``central_direction`` and
     ``steepest_direction`` node by node (bit for bit theirs). For m = 2
-    that is the closed form of both QPs and for m = 3 the triangle closed
-    form of the central QP, whose reference is
-    ``oracle.sample_field_reference`` (cold Wolfe solves per node); every
-    other solve runs Wolfe on both sides, and they agree bit for bit.
+    that is the segment's closed form of both QPs and for m = 3 the
+    triangle's, whose reference is ``oracle.sample_field_reference`` (cold
+    Wolfe solves per node); for m >= 4 both sides run Wolfe slate by slate
+    and agree bit for bit. Those m lose the batching: at ``--res 80`` a
+    four-objective grid's QPs take about 0.5 s.
     """
     box, xs, ys, spacing = _grid_axes(problem, box, resolution, mask_scale)
     lip = _positive_lipschitz(problem)

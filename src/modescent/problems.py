@@ -497,8 +497,12 @@ def validate_problem(
 ) -> None:
     """Sampled consistency checks: Lipschitz bound and lower bound.
 
-    Draws random point pairs and asserts ||g_i(x) - g_i(y)|| <= L_i ||x - y||
-    and f_i(x) >= lower_bound. Raises AssertionError on violation.
+    Draws ``samples`` seeded point pairs x, y uniform in the cube
+    [-radius, radius]^n and checks ||g_i(x) - g_i(y)|| <= L_i ||x - y||
+    (up to 1e-9) and f_i(x) >= lower_bound (up to 1e-12) for every
+    objective i whose problem declares them. Raises ValueError naming the
+    first objective that violates either; the checks are plain comparisons,
+    so they also run under ``python -O``.
     """
     rng = np.random.default_rng(seed)
     ledger = QueryLedger.for_objectives(problem.num_objectives)
@@ -507,15 +511,14 @@ def validate_problem(
         y = rng.uniform(-radius, radius, size=problem.dimension)
         for i in range(problem.num_objectives):
             fx = evaluate(problem, i, x, ledger)
-            if problem.lower_bound is not None:
-                assert fx >= problem.lower_bound - 1e-12, (
-                    f"objective {i} dips below its stated lower bound"
-                )
+            if problem.lower_bound is not None and not (
+                fx >= problem.lower_bound - 1e-12
+            ):
+                raise ValueError(f"objective {i} dips below its stated lower bound")
             if problem.lipschitz is not None:
                 gx = gradient(problem, i, x, ledger)
                 gy = gradient(problem, i, y, ledger)
                 lhs = np.linalg.norm(gx - gy)
                 rhs = problem.lipschitz[i] * np.linalg.norm(x - y)
-                assert lhs <= rhs + 1e-9, (
-                    f"objective {i} violates its Lipschitz constant"
-                )
+                if not lhs <= rhs + 1e-9:
+                    raise ValueError(f"objective {i} violates its Lipschitz constant")

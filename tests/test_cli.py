@@ -377,7 +377,7 @@ class TestVerify:
 
 
 # figure1 (m = 2, the closed form) keeps its ids; random-quadratic:3,2,0
-# (m = 3, the batched corral) runs from the same starts
+# (m = 3, the triangle closed form) runs from the same starts
 FIELD_SPAN_CASES = [
     pytest.param(problem, box, start, id=tag + start)
     for problem, box, tag in (

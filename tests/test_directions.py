@@ -379,7 +379,7 @@ class TestMinNormKernel:
             directions, "_affine_minimizer", lambda sub: np.full(len(sub), np.nan)
         )
         with pytest.raises(DirectionSolverError, match="corral loop"):
-            directions._min_norm_point(np.eye(3), (0, 1, 2))
+            directions._min_norm_point(np.eye(4), (0, 1, 2, 3))
 
 
 def _two_row_slate(rng, case):
@@ -619,9 +619,27 @@ def _triangle_slate(rng, case):
     return np.ldexp(g, (-1000, 0, 1000)[(case // 5) % 3])
 
 
+def _raw_slate(rng, m, case):
+    """Seeded m-row slate of the steepest QP, n = 2 to 4: each row scaled by
+    e^u with u in [-18, 3], the whole slate at scale 2**-1000, 1 or 2**1000,
+    then by 2**-e to the largest entry in [0.5, 1), as the QP hands it to
+    the kernel (an exact scaling)."""
+    g = rng.normal(size=(m, int(rng.integers(2, 5))))
+    g *= np.exp(rng.uniform(-18.0, 3.0, (m, 1)))
+    g = np.ldexp(g, (-1000, 0, 1000)[case % 3])
+    return np.ldexp(g, -np.frexp(np.abs(g).max())[1])
+
+
+def _relative_error(x, exact):
+    """||x - exact|| / ||exact||; None where the exact point is the origin."""
+    size = math.sqrt(sum(v * v for v in exact))
+    return None if size == 0.0 else _exact_distance(x, exact) / size
+
+
 class TestExactReference:
-    """The closed forms against the exact min-norm point of the float unit
-    rows, in rational arithmetic."""
+    """The closed forms against the exact min-norm point of the float rows,
+    in rational arithmetic: the unit rows of the central QP and the raw
+    rows of the steepest QP."""
 
     # about 45 units of rounding on the unit rows, set from the dtype
     BOUND = 1e-14
@@ -677,19 +695,53 @@ class TestExactReference:
             x, _ = directions._pair_min_norm(unit[0], unit[1])
             assert _exact_distance(x, _exact_min_norm(unit)) == 0.0
 
+    @pytest.mark.parametrize("m, bound", [(2, 1e-14), (3, 1e-6)])
+    def test_raw_rows_of_very_different_lengths(self, m, bound):
+        # rows e^-18 to e^3 long: the pair form works from the short row
+        # when the midpoint would round x at the scale of the long one; the
+        # triangle's affine solve on such a Gram keeps about 1e-7
+        rng = np.random.default_rng(61 + m)
+        compared = 0
+        for case in range(300):
+            pts = _raw_slate(rng, m, case)
+            x, w, _ = directions._min_norm_point(pts)
+            error = _relative_error(x, _exact_min_norm(pts))
+            if error is None:
+                continue
+            compared += 1
+            assert error <= bound, case
+            assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert compared >= 250, compared
+
+    def test_near_duplicate_raw_rows_never_raise(self):
+        # the steepest QP of three raw rows, the third the first plus noise
+        # of 1e-12 to 1e-8: the triangle form returns the exact point to
+        # rounding, where the Wolfe iteration raised on some of these
+        rng = np.random.default_rng(67)
+        for case in range(300):
+            g = rng.normal(size=(3, 3))
+            g[2] = g[0] + 10.0 ** rng.uniform(-12.0, -8.0) * rng.normal(size=3)
+            v, _ = steepest_direction(g)
+            e = np.frexp(np.abs(g).max())[1]
+            x, exact = np.ldexp(-v, -e), _exact_min_norm(np.ldexp(g, -e))
+            assert _relative_error(x, exact) <= 1e-14, case
+
 
 def _corral_stack(rng, m, n, count):
     """Seeded (count, m, n) stack of slates: generic, with a duplicated row
     (a singular corral system), an opposed pair, a collinear triple, in a
-    common cone, or with the origin inside the hull; each at scale 2**-1000,
-    1 or 2**1000."""
+    common cone, or with the origin inside the hull (each where m has the
+    rows for it); each at scale 2**-1000, 1 or 2**1000."""
     stack = rng.normal(size=(count, m, n))
     stack[1::6, -1] = stack[1::6, 0]
-    stack[2::6, 1] = -rng.uniform(0.1, 10.0, (len(stack[2::6]), 1)) * stack[2::6, 0]
-    t = rng.uniform(-1.0, 2.0, (len(stack[3::6]), 1))
-    stack[3::6, 2] = stack[3::6, 0] + t * (stack[3::6, 1] - stack[3::6, 0])
+    if m >= 2:
+        factor = -rng.uniform(0.1, 10.0, (len(stack[2::6]), 1))
+        stack[2::6, 1] = factor * stack[2::6, 0]
+        stack[5::6] -= stack[5::6].mean(axis=1, keepdims=True)
+    if m >= 3:
+        t = rng.uniform(-1.0, 2.0, (len(stack[3::6]), 1))
+        stack[3::6, 2] = stack[3::6, 0] + t * (stack[3::6, 1] - stack[3::6, 0])
     stack[4::6] += 3.0 * rng.normal(size=(len(stack[4::6]), 1, n))
-    stack[5::6] -= stack[5::6].mean(axis=1, keepdims=True)
     return np.ldexp(stack, rng.choice([-1000, 0, 1000], (count, 1, 1)))
 
 
@@ -710,25 +762,17 @@ def _same_bits(a, b):
 def _per_slate(stack):
     x = np.empty((stack.shape[0], stack.shape[2]))
     for k, slate in enumerate(stack):
-        x[k] = directions._wolfe_min_norm_point(slate)[0]
+        x[k] = directions._min_norm_point(slate)[0]
     return x
 
 
-def _cycling_weights(sub):
-    # weights that drop the vertex just added: every major step re-adds it
-    beta = np.zeros(sub.shape[-1])
-    beta[0] += 2.0
-    beta[-1] -= 1.0
-    return beta
-
-
-class TestBatchedCorral:
-    """The batched m >= 3 corral against the per-slate Wolfe iteration."""
+class TestBatchedKernel:
+    """The stack form of the kernel table against its single-slate form."""
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_stacks_match_bit_for_bit(self, monkeypatch, n):
         # planar slates, as the field sampler has, and wider ones, whose
-        # corrals reach four and more vertices
+        # Wolfe corrals reach four and more vertices
         rng = np.random.default_rng(41 + n)
         singular = []
         single = directions._affine_minimizer
@@ -737,12 +781,15 @@ class TestBatchedCorral:
             singular.append(len(sub))
             return single(sub)
 
-        monkeypatch.setattr(directions, "_affine_minimizer", counted)
-        for m in range(3, 11):
+        for m in range(1, 11):
             for stack in _qp_stacks(_corral_stack(rng, m, n, 240)):
                 expected = _per_slate(stack)
-                assert _same_bits(directions._min_norm_points(stack), expected), m
-        # duplicated rows made singular systems, solved by the fallback
+                with monkeypatch.context() as patch:
+                    patch.setattr(directions, "_affine_minimizer", counted)
+                    batched = directions._min_norm_points(stack)
+                assert _same_bits(batched, expected), m
+        # duplicated rows made singular triangle systems, which the batched
+        # solve hands to the single one
         assert len(singular) > 0
 
     @pytest.mark.parametrize("m", [4, 6])
@@ -758,45 +805,9 @@ class TestBatchedCorral:
                 assert _same_bits(directions._min_norm_points(stack), expected), p
 
     def test_empty_stack(self):
-        for m in (1, 3, 5):
+        for m in (1, 2, 3, 5):
             x = directions._min_norm_points(np.zeros((0, m, 4)))
             assert x.shape == (0, 4)
-
-    @pytest.mark.parametrize(
-        "batched, single, match",
-        [
-            (
-                lambda subs: np.full(subs.shape[:2], np.nan),
-                lambda sub: np.full(len(sub), np.nan),
-                "corral loop",
-            ),
-            (
-                lambda subs: np.tile(np.eye(subs.shape[1])[0], (len(subs), 1)),
-                lambda sub: np.eye(len(sub))[0],
-                "stalled",
-            ),
-            (
-                lambda subs: np.array([_cycling_weights(sub) for sub in subs]),
-                _cycling_weights,
-                "cap exceeded",
-            ),
-        ],
-        ids=["corral-loop", "stalled", "cap"],
-    )
-    def test_fails_by_name_as_the_per_slate_iteration(
-        self, monkeypatch, batched, single, match
-    ):
-        # every slate fails; the lowest one's error is the one raised, as
-        # in a slate-by-slate loop (the second slate's gap is 4x larger)
-        monkeypatch.setattr(directions, "_affine_minimizers", batched)
-        monkeypatch.setattr(directions, "_affine_minimizer", single)
-        stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
-        with pytest.raises(DirectionSolverError, match=match) as got:
-            directions._min_norm_points(stack)
-        with pytest.raises(DirectionSolverError, match=match) as want:
-            directions._wolfe_min_norm_point(stack[0])
-        assert str(got.value) == str(want.value)
-        assert got.value.best_residual == want.value.best_residual
 
 
 def _support(out):

@@ -1,6 +1,7 @@
 """Planar field sampling and streamline integration."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from modescent import (
 from modescent import directions, fields
 from modescent.fields import FieldGrid
 from modescent.oracle import sample_field_reference
+from test_directions import _exact_min_norm
 
 BOX = ((-2.5, 1.0), (-2.5, 1.0))
 WIDE = ((-3.0, 1.0), (-3.0, 1.0))
@@ -164,19 +166,27 @@ class TestBatchedSampler:
         assert np.array_equal(np.isfinite(a), finite)
         a, b = a[finite], b[finite]
         assert (np.abs(a - b) <= 1e-14 * b * np.maximum(1.0, b)).all()
-        if m == 3:  # the steepest QP runs Wolfe on both sides: the same bits
-            assert np.array_equal(
-                fast.channels["steepest_value"], ref.channels["steepest_value"]
-            )
+        gx, gy = np.meshgrid(fast.xs, fast.ys)
+        nodes = np.stack([gx.ravel(), gy.ravel()], 1)
+        grads = fields.gradients_at(problem, nodes, QueryLedger.for_objectives(m))
+        _, e = np.frexp(np.abs(grads).max(axis=(1, 2)))
+        a, b = fast.channels["steepest_value"], ref.channels["steepest_value"]
+        if m == 3:
+            # the triangle closed form against the exact hull optimum of
+            # each node's slate as the QP scales it (by 2**-e), in rational
+            # arithmetic: relative where the optimum is not zero, and at a
+            # rounding floor of 1e-30 * 4**e where the origin is in the hull
+            exact = np.array([
+                -0.5 * math.ldexp(float(sum(v * v for v in _exact_min_norm(
+                    np.ldexp(slate, -k)))), 2 * int(k))
+                for slate, k in zip(grads, e)
+            ]).reshape(a.shape)
+            bound = 1e-13 * np.abs(exact) + np.ldexp(1e-30, 2 * e).reshape(a.shape)
+            assert (np.abs(a - exact) <= bound).all()
             return
         # Wolfe stops at a gap of 1e-12 * 4**e on a slate scaled by 2**-e,
         # which bounds its value error by the same; the closed form is exact
         # to rounding
-        gx, gy = np.meshgrid(fast.xs, fast.ys)
-        nodes = np.stack([gx.ravel(), gy.ravel()], 1)
-        grads = fields.gradients_at(problem, nodes, QueryLedger.for_objectives(2))
-        _, e = np.frexp(np.abs(grads).max(axis=(1, 2)))
-        a, b = fast.channels["steepest_value"], ref.channels["steepest_value"]
         bound = np.ldexp(1e-12, 2 * e).reshape(a.shape) + 1e-15 * np.abs(b)
         assert (np.abs(a - b) <= bound).all()
 
@@ -199,8 +209,9 @@ class TestBatchedSampler:
         assert int(grid.mask.sum()) > 0
 
     def test_three_objectives_make_no_per_slate_wolfe_call(self, monkeypatch):
-        # m >= 3 runs one batched corral per QP over the grid's stack; the
-        # per-node reference test holds its channels to the Wolfe bits
+        # m = 3 runs the batched triangle closed form for both QPs over the
+        # grid's stack; the per-node reference test holds its channels to
+        # the exact hull point and to Wolfe
         def per_slate(*args, **kwargs):
             raise AssertionError("per-slate Wolfe call")
 

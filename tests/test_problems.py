@@ -219,7 +219,7 @@ class TestValidation:
             lipschitz=(2.0,),
             name="bad-lipschitz",
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="objective 0 violates its Lipschitz"):
             validate_problem(bad)
 
     def test_catches_lower_bound_violation(self):
@@ -230,7 +230,7 @@ class TestValidation:
             lower_bound=0.0,
             name="bad-bound",
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="objective 0 dips below its stated"):
             validate_problem(bad)
 
     def test_rejects_bad_construction(self):
