@@ -6,7 +6,10 @@ the gradients start to conflict, which turns it into both a search
 direction and a criticality diagnostic. This package bundles the direction
 solvers, incremental descent loops that refresh one or two gradients per
 iteration, proximity and robustness metrics, planar field sampling, and
-slow-but-sure oracles used to cross-check the fast paths.
+the planar references the ``verify`` suites check against. The slower
+references that only the tests use (brute-force sweeps, a first-order
+steepest dual solve, exact rational min-norm points, the per-node field
+loop) live in ``tests/reference.py``.
 """
 
 from .directions import (
@@ -31,16 +34,9 @@ from .metrics import (
     rate_bound_margins,
 )
 from .oracle import (
-    BruteForceResult,
     angular_sweep_alignment_gap,
-    angular_sweep_feasible,
-    brute_force_central,
     figure1_efficient_curve,
-    finite_diff_gradient,
     hull_contains_origin_2d,
-    nondominated_mask,
-    pareto_filter_grid,
-    project_to_simplex,
 )
 from .problems import (
     MultiObjectiveProblem,
@@ -79,7 +75,6 @@ __all__ = [
     "BRANCH_BLOWUP",
     "BRANCH_UNBOUNDED",
     "BRANCH_VANISHING",
-    "BruteForceResult",
     "DIRECTION",
     "DirectionOutcome",
     "DirectionSolverError",
@@ -93,8 +88,6 @@ __all__ = [
     "StepSchedule",
     "alignment_gap",
     "angular_sweep_alignment_gap",
-    "angular_sweep_feasible",
-    "brute_force_central",
     "central_direction",
     "classify_run",
     "descent_margin",
@@ -102,7 +95,6 @@ __all__ = [
     "evaluate_all",
     "exterior_perturbation_margin",
     "figure1_efficient_curve",
-    "finite_diff_gradient",
     "gradient",
     "gradient_all",
     "gradients_at",
@@ -112,11 +104,8 @@ __all__ = [
     "make_random_quadratic_family",
     "make_scaled_variant",
     "make_unbounded_linear_problem",
-    "nondominated_mask",
-    "pareto_filter_grid",
     "perturbation_margin",
     "problem_from_name",
-    "project_to_simplex",
     "proximity_at",
     "rate_bound",
     "rate_bound_margins",

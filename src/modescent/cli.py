@@ -661,23 +661,19 @@ def _suite_complexity(seed: int) -> List[dict]:
     problem = problem_from_name(f"random-quadratic:3,4,{seed}")
     schedule = StepSchedule.harmonic(1.0)
 
-    records = run_incremental_central(
-        problem, np.zeros(4), schedule, max_iter=137, diagnostics=False
-    )
+    records = run_incremental_central(problem, np.zeros(4), schedule, max_iter=137)
     dev = abs(records[-1].grad_evals - 137) + abs(records[-1].fn_evals)
     checks.append(_check("icd-one-gradient-per-iter", -float(dev)))
 
     records = run_incremental_central(
-        problem, np.zeros(4), schedule, slate_init="warm-start",
-        max_iter=137, diagnostics=False,
+        problem, np.zeros(4), schedule, slate_init="warm-start", max_iter=137
     )
     dev = abs(records[-1].grad_evals - (137 + 3))
     checks.append(_check("icd-warm-start-offset", -float(dev)))
 
     fig = make_figure1_problem()
     records = run_incremental_central_armijo(
-        fig, np.array([1.5, 1.0]), beta=0.5, seed=seed, max_iter=64,
-        diagnostics=False,
+        fig, np.array([1.5, 1.0]), beta=0.5, seed=seed, max_iter=64
     )
     started = _started_iterations(records)
     dev = abs(records[-1].grad_evals - 2 * started)
@@ -698,7 +694,7 @@ def _suite_complexity(seed: int) -> List[dict]:
 
     records = run_incremental_aggregated(
         problem, np.full(3, 1.0 / 3.0), np.zeros(4), alpha=0.01, window=3,
-        max_iter=50, diagnostics=False,
+        max_iter=50,
     )
     dev = abs(records[-1].grad_evals - 50)
     checks.append(_check("iag-one-gradient-per-iter", -float(dev)))

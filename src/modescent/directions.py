@@ -362,8 +362,10 @@ def _affine_minimizers(gram_s: Array) -> Array:
     """:func:`_affine_minimizer` of each (k, k) corral Gram of a stack.
 
     One batched LAPACK solve, the kernel of the single solve, gives bit for
-    bit its weights; a stack holding a singular system falls back to the
-    single function slate by slate, least squares for the singular ones.
+    bit its weights. When a system of the stack is exactly singular (a zero
+    LU pivot, so a zero determinant) the batched solve raises; then the
+    regular systems are still solved together and only the singular ones
+    go to the single function, whose least squares handles them.
     """
     count, k = gram_s.shape[:2]
     kkt = np.zeros((count, k + 1, k + 1))
@@ -372,14 +374,19 @@ def _affine_minimizers(gram_s: Array) -> Array:
     kkt[:, k, :k] = 1.0
     rhs = np.zeros((count, k + 1, 1))
     rhs[:, k] = 1.0
+    singular = np.zeros(count, dtype=bool)
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
-        return np.array([_affine_minimizer(sub) for sub in gram_s])
+        singular = np.linalg.det(kkt) == 0.0
+        sol = np.zeros_like(rhs)
+        sol[~singular] = np.linalg.solve(kkt[~singular], rhs[~singular])
     beta = sol[:, :k, 0]
     total = beta.sum(axis=1)
     rescale = (np.abs(total - 1.0) > 1e-8) & (np.abs(total) > 1e-300)
     beta[rescale] /= total[rescale, None]
+    for i in np.flatnonzero(singular):
+        beta[i] = _affine_minimizer(gram_s[i])
     return beta
 
 

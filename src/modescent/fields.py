@@ -8,8 +8,8 @@ query for the gradients of every node, one power-of-two prescale of the
 whole stack, and the min-norm kernel over all nodes at once, for both
 QPs: for m = 2 a closed form broadcast over the stack, for m = 3 the
 batched triangle closed form, and otherwise the Wolfe iteration slate by
-slate. ``oracle.sample_field_reference`` keeps the old per-node loop, cold
-Wolfe solves throughout, as its reference.
+slate. ``sample_field_reference`` in ``tests/reference.py`` keeps the old
+per-node loop, cold Wolfe solves throughout, as its reference.
 Streamlines integrate the normalized field with explicit Euler steps and
 halt once the local descent margin can no longer certify strict decrease
 of every objective. Each step queries its m gradients in one
@@ -192,8 +192,8 @@ def sample_field(
     stack, with the arithmetic of ``central_direction`` and
     ``steepest_direction`` node by node (bit for bit theirs). For m = 2
     that is the segment's closed form of both QPs and for m = 3 the
-    triangle's, whose reference is ``oracle.sample_field_reference`` (cold
-    Wolfe solves per node); for m >= 4 both sides run Wolfe slate by slate
+    triangle's, whose reference is ``sample_field_reference`` in
+    ``tests/reference.py`` (cold Wolfe solves per node); for m >= 4 both sides run Wolfe slate by slate
     and agree bit for bit. Those m lose the batching: at ``--res 80`` a
     four-objective grid's QPs take about 0.5 s.
     """

@@ -131,8 +131,9 @@ def alignment_gap(gradients: Union[Array, Sequence], radius: float) -> float:
     the origin to that hull, computed here through ``steepest_direction``
     on the normalized gradients. That runs the same Wolfe min-norm kernel
     as central_direction, so the two cannot vouch for each other; the tests
-    cross-check z(R) against the independent references in ``oracle``
-    (``steepest_dual_reference`` for any n, the angular sweep for n = 2).
+    cross-check z(R) against ``steepest_dual_reference`` in
+    ``tests/reference.py`` for any n and ``oracle``'s angular sweep for
+    n = 2.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")

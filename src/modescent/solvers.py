@@ -149,22 +149,16 @@ class IterationRecord:
     step_floor: Optional[float] = None
 
 
-def _diagnostics(problem: MultiObjectiveProblem, x: Array, enabled: bool):
+def _diagnostics(problem: MultiObjectiveProblem, x: Array):
     """Objective values and smallest gradient norm on a throwaway ledger."""
-    if not enabled:
-        m = problem.num_objectives
-        return np.full(m, np.nan), float("nan")
     scratch = QueryLedger.for_objectives(problem.num_objectives)
     values, grads = values_and_gradients(problem, x, scratch)
     return values, float(row_norms(grads).min())
 
 
 def _ratio(min_grad: float, dir_norm: float) -> float:
-    if math.isnan(min_grad) or math.isnan(dir_norm):
-        return float("nan")
-    if math.isinf(dir_norm):
-        return 0.0
-    return min_grad / dir_norm
+    """min_grad / dir_norm, 0 for an infinite norm (NaN stays NaN)."""
+    return 0.0 if math.isinf(dir_norm) else min_grad / dir_norm
 
 
 class _Step(NamedTuple):
@@ -186,7 +180,6 @@ def _run(
     ledger: QueryLedger,
     step: Callable[[int, Array], Union[_Step, Tuple[str, float]]],
     max_iter: int,
-    diagnostics: bool = True,
     ratio: bool = True,
 ) -> List[IterationRecord]:
     """The loop every solver shares; ``step`` is the method's step rule.
@@ -204,7 +197,7 @@ def _run(
         done = not isinstance(out, _Step)
         reason, dir_norm = out if done else (None, out.dir_norm)
         if done or out.values is None:
-            values, min_grad = _diagnostics(problem, x, diagnostics)
+            values, min_grad = _diagnostics(problem, x)
         else:
             values, min_grad = out.values, out.min_grad
         records.append(
@@ -331,7 +324,6 @@ def run_incremental_central(
     slate_init: str = "random-unit",
     seed: int = 0,
     max_iter: int = 10000,
-    diagnostics: bool = True,
 ) -> List[IterationRecord]:
     """Incremental central descent with a vanishing step schedule.
 
@@ -358,7 +350,7 @@ def run_incremental_central(
         alpha = schedule.alpha(k)
         return _Step(alpha, outcome.norm, x + alpha * (outcome.vector / outcome.norm))
 
-    return _run(problem, x, ledger, step, max_iter, diagnostics)
+    return _run(problem, x, ledger, step, max_iter)
 
 
 class _CyclicChooser:
@@ -395,7 +387,6 @@ def run_incremental_central_armijo(
     seed: int = 0,
     slate_init: str = "random-unit",
     max_iter: int = 10000,
-    diagnostics: bool = True,
 ) -> List[IterationRecord]:
     """Incremental central descent with an inexact line search.
 
@@ -466,7 +457,7 @@ def run_incremental_central_armijo(
             )
         return _Step(alpha, outcome.norm, x_next, step_floor)
 
-    return _run(problem, x, ledger, step, max_iter, diagnostics)
+    return _run(problem, x, ledger, step, max_iter)
 
 
 def run_full_steepest(
@@ -573,7 +564,6 @@ def run_incremental_aggregated(
     alpha: float,
     window: int,
     max_iter: int = 10000,
-    diagnostics: bool = True,
 ) -> List[IterationRecord]:
     """Incremental aggregated-gradient baseline on the weighted sum.
 
@@ -599,8 +589,7 @@ def run_incremental_aggregated(
         return _Step(alpha, float(np.linalg.norm(aggregate)), x - alpha * aggregate)
 
     return _run(
-        problem, np.array(x0, dtype=float), ledger, step, max_iter,
-        diagnostics, ratio=False,
+        problem, np.array(x0, dtype=float), ledger, step, max_iter, ratio=False
     )
 
 

@@ -19,7 +19,6 @@ from modescent import (
     MultiObjectiveProblem,
     QueryLedger,
     alignment_gap,
-    brute_force_central,
     central_direction,
     classify_run,
     descent_margin,
@@ -44,22 +43,13 @@ from modescent import (
     trace_streamline,
 )
 from modescent.solvers import StepSchedule
+from reference import brute_force_central, project_rows_to_simplex
 
 BOX = ((-3.0, 1.0), (-3.0, 1.0))
 
 
 def completed(records):
     return [r for r in records if r.stop_reason is None]
-
-
-def project_rows_to_simplex(v):
-    # rowwise Euclidean projection onto the probability simplex
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, v.shape[1] + 1)
-    rho = ((u - css / idx) > 0).sum(axis=1)
-    theta = css[np.arange(v.shape[0]), rho - 1] / rho
-    return np.maximum(v - theta[:, None], 0.0)
 
 
 def hull_norm_upper(slates):

@@ -1,9 +1,7 @@
 """Direction solvers: the central QP, the regularized min-max, helpers."""
 
-import itertools
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +14,16 @@ from modescent import (
     central_direction,
     descent_margin,
     hull_contains_origin_2d,
-    project_to_simplex,
     steepest_direction,
 )
 from modescent import QueryLedger, directions, gradients_at, problem_from_name
-from modescent.oracle import steepest_dual_reference
+from reference import (
+    exact_distance,
+    exact_min_norm,
+    project_rows_to_simplex,
+    same_bits,
+    steepest_dual_reference,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -338,9 +341,9 @@ class TestFloatRange:
             for name, expected in zip(names, ref):
                 got = getattr(out, name)
                 if isinstance(expected, np.ndarray):
-                    assert _same_bits(got, expected), (case, name)
+                    assert same_bits(got, expected), (case, name)
                 elif isinstance(expected, float):
-                    assert _same_bits(np.float64(got), np.float64(expected))
+                    assert same_bits(np.float64(got), np.float64(expected))
                 else:
                     assert got == expected, (case, name)
         # feasible with every row active, with some rows inactive, infeasible
@@ -519,8 +522,8 @@ class TestPairMinNorm:
                 for k, (p, q) in enumerate(stack):
                     x, w = directions._pair_min_norm(p, q)
                     assert type(w) is float
-                    assert _same_bits(np.asarray(x), x_ref[k]), (n, k)
-                    assert _same_bits(np.float64(w), w_ref[k]), (n, k)
+                    assert same_bits(np.asarray(x), x_ref[k]), (n, k)
+                    assert same_bits(np.float64(w), w_ref[k]), (n, k)
                     pairs += 1
         assert pairs >= 10000
 
@@ -528,7 +531,7 @@ class TestPairMinNorm:
         p = np.array([0.6, -0.8])
         for q in (p, p.copy()):
             x, w = directions._pair_min_norm(p, q)
-            assert w == 0.0 and _same_bits(x, p)
+            assert w == 0.0 and same_bits(x, p)
         x, w, support = directions._min_norm_point(np.stack([p, p]))
         assert support == [0] and w.tolist() == [1.0, 0.0]
 
@@ -545,52 +548,8 @@ class TestPairMinNorm:
         x_ref, w_ref = directions._segment_min_norm(unit[0], unit[1])
         x, w = directions._pair_min_norm(unit[0], unit[1])
         assert w == w_ref == float(vertex)
-        assert _same_bits(x, unit[vertex]) and _same_bits(x_ref, unit[vertex])
+        assert same_bits(x, unit[vertex]) and same_bits(x_ref, unit[vertex])
         assert central_direction(np.array(slate)).active_set == (vertex,)
-
-
-def _exact_min_norm(points):
-    """Exact minimum-norm point of conv{rows of points}, two or three rows.
-
-    Rational arithmetic on the float rows as given: each face of the hull
-    (every vertex, edge and, for three rows, the triangle) gets the
-    min-norm point of its affine hull from the bordered system
-    [G 1; 1 0] [w; lam] = [0; 1], solved by Gauss-Jordan elimination in
-    Fractions. Faces whose system is singular (affinely dependent rows) or
-    whose weights are not all >= 0 are skipped; the least squared norm
-    wins. Shares no code with the kernels. Returns the point as Fractions.
-    """
-    rows = [[Fraction(v) for v in row] for row in np.asarray(points).tolist()]
-    best, point = None, None
-    for size in range(1, len(rows) + 1):
-        for face in itertools.combinations(rows, size):
-            system = [[sum(map(Fraction.__mul__, a, b)) for b in face] + [1, 0]
-                      for a in face]
-            system.append([1] * size + [0, 1])
-            for c in range(size + 1):
-                pivot = next((r for r in range(c, size + 1) if system[r][c]), None)
-                if pivot is None:
-                    break
-                system[c], system[pivot] = system[pivot], system[c]
-                for r in range(size + 1):
-                    if r != c and system[r][c]:
-                        f = system[r][c] / system[c][c]
-                        system[r] = [a - f * b for a, b in zip(system[r], system[c])]
-            else:
-                w = [system[i][-1] / system[i][i] for i in range(size)]
-                if min(w) < 0:
-                    continue
-                x = [sum(wi * row[k] for wi, row in zip(w, face))
-                     for k in range(len(face[0]))]
-                xx = sum(v * v for v in x)
-                if best is None or xx < best:
-                    best, point = xx, x
-    return point
-
-
-def _exact_distance(x, exact):
-    """||x - exact|| for a float point x, rounded once at the end."""
-    return math.sqrt(sum((Fraction(a) - b) ** 2 for a, b in zip(x.tolist(), exact)))
 
 
 def _unit_rows(slate):
@@ -633,7 +592,7 @@ def _raw_slate(rng, m, case):
 def _relative_error(x, exact):
     """||x - exact|| / ||exact||; None where the exact point is the origin."""
     size = math.sqrt(sum(v * v for v in exact))
-    return None if size == 0.0 else _exact_distance(x, exact) / size
+    return None if size == 0.0 else exact_distance(x, exact) / size
 
 
 class TestExactReference:
@@ -649,7 +608,7 @@ class TestExactReference:
         for case in range(300):
             unit = _unit_rows(_triangle_slate(rng, case))
             x, w = directions._triangle_min_norm(unit)
-            assert _exact_distance(x, _exact_min_norm(unit)) <= self.BOUND, case
+            assert exact_distance(x, exact_min_norm(unit)) <= self.BOUND, case
             assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-15)
             assert np.abs(w @ unit - x).max() <= 1e-15, case
 
@@ -664,7 +623,7 @@ class TestExactReference:
             g[2] = g[0] + 10.0 ** rng.uniform(-12.0, -8.0) * rng.normal(size=3)
             unit = _unit_rows(g)
             x, _ = directions._triangle_min_norm(unit)
-            assert _exact_distance(x, _exact_min_norm(unit)) <= self.BOUND, case
+            assert exact_distance(x, exact_min_norm(unit)) <= self.BOUND, case
             try:
                 directions._wolfe_min_norm_point(unit)
             except DirectionSolverError:
@@ -683,17 +642,17 @@ class TestExactReference:
             p = rng.normal(size=int(rng.integers(2, 6)))
             unit = _unit_rows([p, p + 1e-8 * rng.normal(size=len(p))])
             x, w = directions._pair_min_norm(unit[0], unit[1])
-            exact = _exact_min_norm(unit)
-            assert _exact_distance(x, exact) <= self.BOUND, case
+            exact = exact_min_norm(unit)
+            assert exact_distance(x, exact) <= self.BOUND, case
             if w in (0.0, 1.0):
                 vertices += 1
                 midpoint = 0.5 * (unit[0] + unit[1])
-                assert _exact_distance(midpoint, exact) > 100.0 * self.BOUND, case
+                assert exact_distance(midpoint, exact) > 100.0 * self.BOUND, case
         assert vertices >= 100
         for slate in ([[1.0, 0.0], [1.0, 1e-8]], [[3.0, 4.0], [3.0, 4.0 + 1e-8]]):
             unit = _unit_rows(slate)
             x, _ = directions._pair_min_norm(unit[0], unit[1])
-            assert _exact_distance(x, _exact_min_norm(unit)) == 0.0
+            assert exact_distance(x, exact_min_norm(unit)) == 0.0
 
     @pytest.mark.parametrize("m, bound", [(2, 1e-14), (3, 1e-6)])
     def test_raw_rows_of_very_different_lengths(self, m, bound):
@@ -705,7 +664,7 @@ class TestExactReference:
         for case in range(300):
             pts = _raw_slate(rng, m, case)
             x, w, _ = directions._min_norm_point(pts)
-            error = _relative_error(x, _exact_min_norm(pts))
+            error = _relative_error(x, exact_min_norm(pts))
             if error is None:
                 continue
             compared += 1
@@ -723,7 +682,7 @@ class TestExactReference:
             g[2] = g[0] + 10.0 ** rng.uniform(-12.0, -8.0) * rng.normal(size=3)
             v, _ = steepest_direction(g)
             e = np.frexp(np.abs(g).max())[1]
-            x, exact = np.ldexp(-v, -e), _exact_min_norm(np.ldexp(g, -e))
+            x, exact = np.ldexp(-v, -e), exact_min_norm(np.ldexp(g, -e))
             assert _relative_error(x, exact) <= 1e-14, case
 
 
@@ -755,10 +714,6 @@ def _qp_stacks(grads):
     return np.ldexp(grads, -e[:, None, None]), unit
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def _per_slate(stack):
     x = np.empty((stack.shape[0], stack.shape[2]))
     for k, slate in enumerate(stack):
@@ -784,10 +739,19 @@ class TestBatchedKernel:
         for m in range(1, 11):
             for stack in _qp_stacks(_corral_stack(rng, m, n, 240)):
                 expected = _per_slate(stack)
+                before = len(singular)
                 with monkeypatch.context() as patch:
                     patch.setattr(directions, "_affine_minimizer", counted)
                     batched = directions._min_norm_points(stack)
-                assert _same_bits(batched, expected), m
+                assert same_bits(batched, expected), m
+                if m == 3:
+                    # only the exactly singular bordered systems leave the
+                    # batched triangle solve, not the whole stack
+                    kkt = np.ones((len(stack), 4, 4))
+                    kkt[:, :3, :3] = stack @ stack.transpose(0, 2, 1)
+                    kkt[:, 3, 3] = 0.0
+                    exact = np.count_nonzero(np.linalg.det(kkt) == 0.0)
+                    assert len(singular) - before == exact < len(stack), n
         # duplicated rows made singular triangle systems, which the batched
         # solve hands to the single one
         assert len(singular) > 0
@@ -802,7 +766,7 @@ class TestBatchedKernel:
             grads = gradients_at(problem, nodes, QueryLedger.for_objectives(m))
             for stack in _qp_stacks(grads):
                 expected = _per_slate(stack)
-                assert _same_bits(directions._min_norm_points(stack), expected), p
+                assert same_bits(directions._min_norm_points(stack), expected), p
 
     def test_empty_stack(self):
         for m in (1, 2, 3, 5):
@@ -871,20 +835,20 @@ class TestWarmStart:
 
 class TestSimplexProjection:
     def test_fixed_points(self):
-        assert project_to_simplex(np.array([0.2, 0.3, 0.5])) == pytest.approx(
+        assert project_rows_to_simplex(np.array([0.2, 0.3, 0.5])) == pytest.approx(
             [0.2, 0.3, 0.5]
         )
-        assert project_to_simplex(np.array([1.0, 0.0])) == pytest.approx([1.0, 0.0])
+        assert project_rows_to_simplex(np.array([1.0, 0.0])) == pytest.approx([1.0, 0.0])
 
     def test_worked_example(self):
-        assert project_to_simplex(np.array([2.0, 0.0])) == pytest.approx([1.0, 0.0])
-        assert project_to_simplex(np.array([0.6, 0.6])) == pytest.approx([0.5, 0.5])
+        assert project_rows_to_simplex(np.array([2.0, 0.0])) == pytest.approx([1.0, 0.0])
+        assert project_rows_to_simplex(np.array([0.6, 0.6])) == pytest.approx([0.5, 0.5])
 
     def test_is_euclidean_projection(self, rng):
         # compare against a dense sample of simplex points
         for _ in range(10):
             v = rng.normal(size=3) * 2.0
-            p = project_to_simplex(v)
+            p = project_rows_to_simplex(v)
             assert p.min() >= 0.0
             assert p.sum() == pytest.approx(1.0)
             w = rng.dirichlet(np.ones(3), size=500)

@@ -21,8 +21,7 @@ from modescent import (
 )
 from modescent import directions, fields
 from modescent.fields import FieldGrid
-from modescent.oracle import sample_field_reference
-from test_directions import _exact_min_norm
+from reference import exact_min_norm, sample_field_reference
 
 BOX = ((-2.5, 1.0), (-2.5, 1.0))
 WIDE = ((-3.0, 1.0), (-3.0, 1.0))
@@ -177,7 +176,7 @@ class TestBatchedSampler:
             # arithmetic: relative where the optimum is not zero, and at a
             # rounding floor of 1e-30 * 4**e where the origin is in the hull
             exact = np.array([
-                -0.5 * math.ldexp(float(sum(v * v for v in _exact_min_norm(
+                -0.5 * math.ldexp(float(sum(v * v for v in exact_min_norm(
                     np.ldexp(slate, -k)))), 2 * int(k))
                 for slate, k in zip(grads, e)
             ]).reshape(a.shape)

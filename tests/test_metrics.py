@@ -18,7 +18,7 @@ from modescent import (
     rate_bound,
     rate_bound_margins,
 )
-from modescent.oracle import steepest_dual_reference
+from reference import steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
 ORTH = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -1,4 +1,5 @@
-"""Slow cross-check oracles: direction sweeps, dominance, finite differences."""
+"""The planar oracles and the slow references: direction sweeps, dominance,
+finite differences."""
 
 import math
 
@@ -9,18 +10,20 @@ from modescent import (
     DIRECTION,
     INFEASIBLE,
     QueryLedger,
-    angular_sweep_feasible,
-    brute_force_central,
     central_direction,
     figure1_efficient_curve,
-    finite_diff_gradient,
     gradient,
     hull_contains_origin_2d,
     make_unbounded_linear_problem,
+)
+from reference import (
+    angular_sweep_feasible,
+    brute_force_central,
+    finite_diff_gradient,
     nondominated_mask,
     pareto_filter_grid,
+    steepest_dual_reference,
 )
-from modescent.oracle import steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
 

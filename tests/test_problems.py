@@ -22,6 +22,7 @@ from modescent import (
     values_and_gradients,
 )
 from modescent import problems
+from reference import per_objective, same_bits
 
 
 class TestFigure1:
@@ -310,17 +311,6 @@ class TestProblemFromName:
             problem_from_name(name)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def per_objective(problem, x):
-    """The reference: every objective and gradient through its own callable."""
-    ledger = QueryLedger.for_objectives(problem.num_objectives)
-    return evaluate_all(problem, x, ledger), gradient_all(problem, x, ledger)
-
-
 def extreme_scaled(name):
     """A shipped problem scaled by alternating 1e-300 and 1e300 factors."""
     base = problem_from_name(name)
@@ -596,12 +586,6 @@ class TestGradientsAt:
             assert ledger.gradient_evals == 0
 
 
-def int64_bits(a):
-    """The float64 bits as int64 lists: a failed comparison shows which differ."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return a.shape, a.view(np.int64).tolist()
-
-
 BATCHED_PROBLEMS = [
     problem_from_name(name)
     for name in (
@@ -631,10 +615,9 @@ class TestBatchedStacked:
         values, grads = problem.stacked(points)
         assert values.shape == (count, m) and grads.shape == (count, m, n)
         for x, row, g in zip(points, values, grads):
-            ref = [float(f(x)) for f in problem.objectives]
-            ref_grads = np.array([gf(x) for gf in problem.gradient_fns])
-            assert int64_bits(row) == int64_bits(ref)
-            assert int64_bits(g) == int64_bits(ref_grads)
+            ref, ref_grads = per_objective(problem, x)
+            assert same_bits(row, ref)
+            assert same_bits(g, ref_grads)
 
     def test_figure1_squares_round_like_the_scalar_power(self, fig1):
         # the scalar ``t ** 2`` of f1 and f2 is libm pow, which rounds unlike
@@ -645,7 +628,7 @@ class TestBatchedStacked:
         points = np.stack([odd, odd], 1)
         values = fig1.stacked(points)[0]
         ref = [[float(f(x)) for f in fig1.objectives] for x in points]
-        assert int64_bits(values) == int64_bits(ref)
+        assert same_bits(values, ref)
 
     @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
     def test_grid_batches_and_single_points_agree(self, problem):
@@ -654,12 +637,12 @@ class TestBatchedStacked:
         values, grads = problem.stacked(points)
         assert values.shape == (6, 5, m) and grads.shape == (6, 5, m, n)
         flat_values, flat_grads = problem.stacked(points.reshape(30, n))
-        assert int64_bits(values.reshape(30, m)) == int64_bits(flat_values)
-        assert int64_bits(grads.reshape(30, m, n)) == int64_bits(flat_grads)
+        assert same_bits(values.reshape(30, m), flat_values)
+        assert same_bits(grads.reshape(30, m, n), flat_grads)
         for k, x in enumerate(points.reshape(30, n)):
             one_values, one_grads = problem.stacked(x)
-            assert int64_bits(one_values) == int64_bits(flat_values[k])
-            assert int64_bits(one_grads) == int64_bits(flat_grads[k])
+            assert same_bits(one_values, flat_values[k])
+            assert same_bits(one_grads, flat_grads[k])
 
     @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
     @pytest.mark.parametrize("count", [0, 1, 60])
@@ -670,10 +653,10 @@ class TestBatchedStacked:
         ledger = QueryLedger.for_objectives(m)
         loop_ledger = QueryLedger.for_objectives(m)
         grads = gradients_at(problem, points, ledger)
-        assert int64_bits(grads) == int64_bits(gradients_at(loop, points, loop_ledger))
+        assert same_bits(grads, gradients_at(loop, points, loop_ledger))
         for x, g in zip(points, grads):
-            assert int64_bits(gradient_all(problem, x, ledger)) == int64_bits(g)
-            assert int64_bits(gradient_all(loop, x, loop_ledger)) == int64_bits(g)
+            assert same_bits(gradient_all(problem, x, ledger), g)
+            assert same_bits(gradient_all(loop, x, loop_ledger), g)
         assert ledger.gradient_counts.tolist() == [2 * count] * m
         assert loop_ledger.gradient_counts.tolist() == [2 * count] * m
         assert ledger.function_evals == loop_ledger.function_evals == 0
