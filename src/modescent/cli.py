@@ -14,11 +14,12 @@ byte-identical stdout and files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +76,6 @@ class _Parser(argparse.ArgumentParser):
     Also widens the negative-number heuristic so values such as
     ``--box -3,1,-3,1`` and ``--x0 -0.5,-0.5`` parse as option values
     rather than unknown flags, and makes ``--help`` show each default.
-    ``build_parser`` sets ``commands`` on the top-level parser: the
-    subcommand parsers by name.
     """
 
     def __init__(self, *args, **kwargs):
@@ -97,11 +96,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, float)):
         value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -111,21 +106,6 @@ def _jsonable(value):
 
 def _emit(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), sort_keys=True))
-
-
-def _read_config(path: str) -> Dict[str, str]:
-    """key=value per line; blank lines and '#' comments are ignored."""
-    out: Dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
 
 
 def _parse_floats(text: str, what: str) -> List[float]:
@@ -153,15 +133,16 @@ def _parse_box(text: str) -> List:
     return [(values[0], values[1]), (values[2], values[3])]
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     """The CLI parser: each option's default and type is stated here once.
 
-    ``main`` builds one per call, because a ``--config`` file replaces the
-    subcommand's defaults with ``set_defaults``, which mutates the parser.
+    Built once per process and never changed: ``main`` hands a ``--config``
+    file to it as argv (see ``_config_tokens``), so one parser serves
+    every call.
     """
     parser = _Parser(prog="modescent", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
     solve = sub.add_parser("solve", help="run an iterative method")
     solve.add_argument("--config", help="key=value defaults file")
@@ -221,36 +202,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_defaults(args: argparse.Namespace) -> Dict[str, str]:
-    """The ``--config`` file's values for the command's options, by dest.
+def _config_tokens(args: argparse.Namespace) -> List[str]:
+    """The ``--config`` file's values for the command's options, as argv.
 
-    A key is an option's long name without the leading dashes; other keys
-    are ignored, and so is ``streamline``: it appends, so a text default
-    would be iterated character by character.
+    The file holds key=value lines; blank lines and '#' comments are
+    skipped. A key is an option's long name without the leading dashes;
+    other keys are ignored, and so is ``streamline``: it appends, so it
+    stays a flag. Each value becomes one ``--key=value`` token, so a value
+    that starts with ``-`` or holds ``=`` arrives intact.
     """
-    config = _read_config(args.config)
-    return {
-        dest: config[key]
+    config = {}
+    with open(args.config) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{args.config}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            config[key.strip()] = value.strip()
+    return [
+        f"--{key}={config[key]}"
         for dest in vars(args)
         if (key := dest.replace("_", "-")) in config
         and dest not in ("command", "config", "streamline")
-    }
-
-
-def _check_choices(command: argparse.ArgumentParser, args) -> None:
-    """Hold every option value to its ``choices``, as argparse holds argv.
-
-    argparse checks ``choices`` only on values from argv, so a value from a
-    ``--config`` file is checked here; the usage error names the option.
-    """
-    for action in command._actions:
-        value = getattr(args, action.dest, None)
-        if action.choices is not None and value not in action.choices:
-            options = ", ".join(map(repr, action.choices))
-            command.error(
-                f"argument {'/'.join(action.option_strings)}: invalid choice: "
-                f"{value!r} (choose from {options})"
-            )
+    ]
 
 
 def _run_named_algo(problem, args):
@@ -350,12 +326,11 @@ def _cmd_field(args) -> int:
         _check_streamline_settings(args.field, args.step)
         if any(len(start) != problem.dimension for start in starts):
             raise ValueError(f"streamline seeds need {problem.dimension} coordinates")
-    resolution = args.resolution
-    grid = sample_field(problem, box, resolution, mask_scale=args.mask_scale)
+    grid = sample_field(problem, box, args.resolution, mask_scale=args.mask_scale)
     grid.to_csv(args.out, channels=[args.channel] if args.channel else None)
     summary = {
         "problem": problem.name,
-        "nodes": int(resolution * resolution),
+        "nodes": int(args.resolution**2),
         "masked_nodes": int(grid.mask.sum()),
         "out": args.out,
     }
@@ -387,6 +362,35 @@ def _started_iterations(records) -> int:
     """Iterations that began (and queried gradients), incl. a stopped one."""
     last = records[-1]
     return last.k - 1 if last.stop_reason == STOP_MAX_ITER else last.k
+
+
+def _agreement(name: str, pairs, bound: float) -> dict:
+    """Check (reference, other) central solves for the same verdict and, on
+    directions, V within ``bound`` ||V|| max(1, ||V||) of the reference."""
+    flips = 0
+    worst = 0.0
+    for reference, other in pairs:
+        if other.kind != reference.kind:
+            flips += 1
+        elif reference.kind == DIRECTION:
+            err = float(np.linalg.norm(other.vector - reference.vector))
+            worst = max(worst, err / (reference.norm * max(1.0, reference.norm)))
+    return _check(name, -float(flips) if flips else bound - worst)
+
+
+def _wolfe_pairs(rng, m: int):
+    """(Wolfe, closed form) central solves of 60 seeded m-row slates, n = 2
+    to 5: a third with the origin in the hull of the unit rows (the last
+    row a negative combination of the others: infeasible) and a third
+    nearly so."""
+    for case in range(60):
+        n = int(rng.integers(2, 6))
+        grads = rng.normal(size=(m, n))
+        if case % 3 == 0:
+            grads[-1] = -rng.uniform(0.1, 10.0, m - 1) @ grads[:-1]
+        elif case % 3 == 1:
+            grads[-1] = -grads[:-1].sum(axis=0) + 1e-3 * rng.normal(size=n)
+        yield central_direction(grads, wolfe=True), central_direction(grads)
 
 
 def _suite_kkt(seed: int) -> List[dict]:
@@ -425,48 +429,21 @@ def _suite_kkt(seed: int) -> List[dict]:
 
     # slates that change one row at a time, as in the incremental solver,
     # drifting from a common descent cone towards criticality: the solve
-    # warm-started from the previous support must match the cold one (same
-    # verdict, V within 1e-12 ||V|| max(1, ||V||))
-    offset = 2.0 * rng.normal(size=4)
-    grads = rng.normal(size=(5, 4)) + offset
-    flips = 0
-    worst = 0.0
-    start: tuple = ()
-    for step in range(60):
-        grads[step % 5] = (1.0 - step / 40) * offset + rng.normal(size=4)
-        cold = central_direction(grads)
-        warm = central_direction(grads, start=start)
-        if warm.kind != cold.kind:
-            flips += 1
-        elif cold.kind == DIRECTION:
-            err = float(np.linalg.norm(warm.vector - cold.vector))
-            worst = max(worst, err / (cold.norm * max(1.0, cold.norm)))
-        start = warm.active_set
-    checks.append(
-        _check("warm-start-agreement", -float(flips) if flips else 1e-12 - worst)
-    )
+    # warm-started from the previous support must match the cold one
+    def warm_pairs():
+        offset = 2.0 * rng.normal(size=4)
+        grads = rng.normal(size=(5, 4)) + offset
+        start: tuple = ()
+        for step in range(60):
+            grads[step % 5] = (1.0 - step / 40) * offset + rng.normal(size=4)
+            cold = central_direction(grads)
+            warm = central_direction(grads, start=start)
+            yield cold, warm
+            start = warm.active_set
 
-    # two-row slates through the m = 2 closed form and the Wolfe reference,
-    # a third of them opposed up to a positive factor (infeasible) and a
-    # third nearly so: same verdict, V within 1e-14 ||V|| max(1, ||V||)
-    flips = 0
-    worst = 0.0
-    for case in range(60):
-        grads = rng.normal(size=(2, int(rng.integers(2, 6))))
-        if case % 3 == 0:
-            grads[1] = -rng.uniform(0.1, 10.0) * grads[0]
-        elif case % 3 == 1:
-            grads[1] = -grads[0] + 1e-3 * rng.normal(size=grads.shape[1])
-        closed = central_direction(grads)
-        wolfe = central_direction(grads, wolfe=True)
-        if closed.kind != wolfe.kind:
-            flips += 1
-        elif wolfe.kind == DIRECTION:
-            err = float(np.linalg.norm(closed.vector - wolfe.vector))
-            worst = max(worst, err / (wolfe.norm * max(1.0, wolfe.norm)))
-    checks.append(
-        _check("closed-form-agreement", -float(flips) if flips else 1e-14 - worst)
-    )
+    checks.append(_agreement("warm-start-agreement", warm_pairs(), 1e-12))
+    # two-row slates through the m = 2 closed form and the Wolfe reference
+    checks.append(_agreement("closed-form-agreement", _wolfe_pairs(rng, 2), 1e-14))
 
     # planar stacks of two to six rows, some with a duplicated row (a
     # singular affine system) or an opposed pair, through the stack and the
@@ -483,28 +460,8 @@ def _suite_kkt(seed: int) -> List[dict]:
             differ += not np.array_equal(batched[k], single)
     checks.append(_check("batched-kernel-agreement", -float(differ)))
 
-    # three-row slates through the m = 3 closed form and the Wolfe
-    # reference, a third of them with the origin in the hull of the unit
-    # rows (infeasible) and a third nearly so: same verdict, V within
-    # 1e-14 ||V|| max(1, ||V||), as for two rows
-    flips = 0
-    worst = 0.0
-    for case in range(60):
-        grads = rng.normal(size=(3, int(rng.integers(2, 6))))
-        if case % 3 == 0:
-            grads[2] = -rng.uniform(0.1, 10.0, 2) @ grads[:2]
-        elif case % 3 == 1:
-            grads[2] = -grads[0] - grads[1] + 1e-3 * rng.normal(size=grads.shape[1])
-        closed = central_direction(grads)
-        wolfe = central_direction(grads, wolfe=True)
-        if closed.kind != wolfe.kind:
-            flips += 1
-        elif wolfe.kind == DIRECTION:
-            err = float(np.linalg.norm(closed.vector - wolfe.vector))
-            worst = max(worst, err / (wolfe.norm * max(1.0, wolfe.norm)))
-    checks.append(
-        _check("triangle-agreement", -float(flips) if flips else 1e-14 - worst)
-    )
+    # three-row slates through the m = 3 closed form and the Wolfe reference
+    checks.append(_agreement("triangle-agreement", _wolfe_pairs(rng, 3), 1e-14))
     return checks
 
 
@@ -721,15 +678,15 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            # an explicit flag beats the file, which beats the built-in
-            # default; argparse converts file values with each option's type
-            command = parser.commands[args.command]
-            command.set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
-            _check_choices(command, args)
+            # the file's tokens go right after the command word, so an
+            # explicit flag beats the file (argparse keeps the last value),
+            # which beats the built-in default; argparse converts and
+            # checks every file value as it does argv
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "field":

@@ -73,8 +73,10 @@ class MultiObjectiveProblem:
         if self.lipschitz is not None:
             if len(self.lipschitz) != len(self.objectives):
                 raise ValueError("one Lipschitz constant per objective")
-            if any(L < 0 for L in self.lipschitz):
-                raise ValueError("Lipschitz constants must be nonnegative")
+            if not all(math.isfinite(L) and L >= 0 for L in self.lipschitz):
+                raise ValueError("Lipschitz constants must be finite and nonnegative")
+        if self.lower_bound is not None and math.isnan(self.lower_bound):
+            raise ValueError("lower bound must not be NaN")
 
     @property
     def num_objectives(self) -> int:
@@ -308,8 +310,8 @@ def make_scaled_variant(
     kappas = tuple(float(k) for k in kappas)
     if len(kappas) != problem.num_objectives:
         raise ValueError("one scale factor per objective")
-    if any(k <= 0 for k in kappas):
-        raise ValueError("scale factors must be positive")
+    if not all(math.isfinite(k) and k > 0 for k in kappas):
+        raise ValueError(f"scale factors must be finite and positive, got {kappas}")
 
     def scaled_pair(i: int, k: float):
         f, g = problem.objectives[i], problem.gradient_fns[i]
@@ -489,26 +491,27 @@ def problem_from_name(name: str) -> MultiObjectiveProblem:
     raise ValueError(f"unknown problem name {name!r}")
 
 
-def validate_problem(
-    problem: MultiObjectiveProblem,
-    seed: int = 0,
-    samples: int = 32,
-    radius: float = 2.0,
-) -> None:
+VALIDATION_SEED = 0
+VALIDATION_SAMPLES = 32
+VALIDATION_RADIUS = 2.0
+
+
+def validate_problem(problem: MultiObjectiveProblem) -> None:
     """Sampled consistency checks: Lipschitz bound and lower bound.
 
-    Draws ``samples`` seeded point pairs x, y uniform in the cube
-    [-radius, radius]^n and checks ||g_i(x) - g_i(y)|| <= L_i ||x - y||
+    Draws ``VALIDATION_SAMPLES`` point pairs x, y uniform in the cube
+    [-VALIDATION_RADIUS, VALIDATION_RADIUS]^n, seeded by
+    ``VALIDATION_SEED``, and checks ||g_i(x) - g_i(y)|| <= L_i ||x - y||
     (up to 1e-9) and f_i(x) >= lower_bound (up to 1e-12) for every
     objective i whose problem declares them. Raises ValueError naming the
     first objective that violates either; the checks are plain comparisons,
     so they also run under ``python -O``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     ledger = QueryLedger.for_objectives(problem.num_objectives)
-    for _ in range(samples):
-        x = rng.uniform(-radius, radius, size=problem.dimension)
-        y = rng.uniform(-radius, radius, size=problem.dimension)
+    r = VALIDATION_RADIUS
+    for _ in range(VALIDATION_SAMPLES):
+        x, y = rng.uniform(-r, r, size=(2, problem.dimension))
         for i in range(problem.num_objectives):
             fx = evaluate(problem, i, x, ledger)
             if problem.lower_bound is not None and not (

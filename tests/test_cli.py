@@ -138,6 +138,8 @@ class TestSolve:
         [
             (("--algo", "icd", "--schedule", "harmonic:nan"), "constant c"),
             (("--algo", "iag", "--iag-alpha", "nan"), "alpha"),
+            (("--problem", "figure1-scaled:nan,1"), "finite and positive"),
+            (("--problem", "figure1-scaled:1,inf"), "finite and positive"),
         ],
     )
     def test_bad_numbers_exit_one_by_name(self, capsys, argv, name):
@@ -227,6 +229,7 @@ class TestField:
             (("--step", "nan", "--streamline", "0.5,0.5"), "step"),
             (("--mask-scale", "nan"), "mask_scale"),
             (("--mask-scale", "-1"), "mask_scale"),
+            (("--problem", "figure1-scaled:nan,1"), "finite and positive"),
         ],
     )
     def test_bad_numbers_exit_one_by_name(self, capsys, tmp_path, argv, name):
@@ -267,9 +270,10 @@ class TestField:
 
 class TestConfig:
     """A --config file of key=value lines: a key is an option's long name
-    without the dashes; an explicit flag beats the file, the file beats the
-    built-in default, and argparse converts each value with the option's
-    type."""
+    without the dashes; its values reach the parser as --key=value tokens
+    ahead of the command line's own flags, so an explicit flag beats the
+    file, the file beats the built-in default, and argparse converts and
+    checks every value with the option's type and choices."""
 
     FIELD_SETTINGS = {
         "resolution": "12",
@@ -304,26 +308,67 @@ class TestConfig:
             rest = {k: v for k, v in settings.items() if k != key}
             assert config(rest) != from_file, key
 
-    def test_bad_value_names_the_option(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [(), ("--beta", "0.3")], ids=["file", "overridden"]
+    )
+    def test_bad_value_names_the_option(self, capsys, tmp_path, flags):
+        # every file value is checked, also one that a flag replaces
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("max-iter=5\nbeta=abc\n")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--config", str(cfg)])
+            cli.main(["solve", "--config", str(cfg), *flags])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "argument --beta: invalid float value: 'abc'" in err
 
-    @pytest.mark.parametrize("algo", ["icd", "steepest"])
-    def test_value_outside_the_choices_names_the_key(self, capsys, tmp_path, algo):
-        # argparse checks choices on argv only; a file value is held to
-        # them too, whether or not the algorithm reads it
+    @pytest.mark.parametrize(
+        "algo, flags",
+        [("icd", ()), ("steepest", ()), ("icd", ("--slate-init", "warm-start"))],
+        ids=["icd", "steepest", "overridden"],
+    )
+    def test_value_outside_the_choices_names_the_key(
+        self, capsys, tmp_path, algo, flags
+    ):
+        # a file value is held to the choices, whether or not the algorithm
+        # reads it and whether or not a flag replaces it
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"algo={algo}\nmax-iter=5\nslate-init=bogus\n")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--config", str(cfg)])
+            cli.main(["solve", "--config", str(cfg), *flags])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "argument --slate-init: invalid choice: 'bogus'" in err
+
+    def test_dashes_and_equals_signs_arrive_intact(self, capsys, tmp_path):
+        trace = tmp_path / "a=b.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"algo=steepest\nmax-iter=6\nx0=-0.5,-0.5\nout={trace}\n")
+        _, from_file, _ = run_cli(capsys, "solve", "--config", str(cfg))
+        file_trace = trace.read_bytes()
+        _, from_flags, _ = run_cli(
+            capsys, "solve", "--algo", "steepest", "--max-iter", "6",
+            "--x0", "-0.5,-0.5", "--out", str(trace),
+        )
+        assert from_file == from_flags
+        assert file_trace == trace.read_bytes()
+        assert json.loads(from_file)["final_x"] != [0.0, 0.0]
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter=9\n")
+        monkeypatch.setattr(
+            "sys.argv", ["modescent", "solve", "--config", str(cfg), "--seed", "2"]
+        )
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] == 9
+
+    def test_parser_is_built_once(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter=4\n")
+        cli.build_parser.cache_clear()
+        run_cli(capsys, "solve", "--config", str(cfg))
+        run_cli(capsys, "solve", "--max-iter", "4")
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_streamline_key_is_ignored(self, capsys, tmp_path):
         # --streamline appends: a text default would be read character by

@@ -1,6 +1,7 @@
 """Problem factories, query accounting, and the validation harness."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -101,10 +102,11 @@ class TestScaledVariant:
     def test_rejects_bad_scales(self, fig1):
         with pytest.raises(ValueError):
             make_scaled_variant(fig1, (1.0,))
-        with pytest.raises(ValueError):
-            make_scaled_variant(fig1, (1.0, 0.0))
-        with pytest.raises(ValueError):
-            make_scaled_variant(fig1, (1.0, -2.0))
+        # a NaN factor used to pass a k <= 0 test and build a problem with a
+        # NaN Lipschitz constant and lower bound
+        for k in (0.0, -2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="scale factors must be finite"):
+                make_scaled_variant(fig1, (1.0, k))
 
 
 class TestRandomQuadraticFamily:
@@ -234,6 +236,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="objective 0 dips below its stated"):
             validate_problem(bad)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (dict(lipschitz=(math.nan,)), "Lipschitz constants must be finite"),
+            (dict(lipschitz=(math.inf,)), "Lipschitz constants must be finite"),
+            (dict(lower_bound=math.nan), "lower bound must not be NaN"),
+        ],
+        ids=["nan-lipschitz", "inf-lipschitz", "nan-bound"],
+    )
+    def test_rejects_bad_numbers_by_name(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            MultiObjectiveProblem(
+                dimension=1,
+                objectives=(lambda x: float(x[0] ** 2),),
+                gradient_fns=(lambda x: 2.0 * x,),
+                **data,
+            )
+
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             MultiObjectiveProblem(dimension=0, objectives=(), gradient_fns=())
@@ -301,6 +321,8 @@ class TestProblemFromName:
             "unknown",
             "figure1-scaled:1",
             "figure1-scaled:1,x",
+            "figure1-scaled:nan,1",
+            "figure1-scaled:1,inf",
             "random-quadratic:3,4",
             "random-quadratic:a,b,c",
             "linear-decline:1",
