@@ -199,6 +199,13 @@ def build_parser() -> _Parser:
     verify.add_argument("--suite", required=True, choices=SUITES)
     verify.add_argument("--seed", type=int, default=0,
                         help="seed of the suite's random cases")
+    # the keys a --config file may hold: every command's long option names
+    parser.config_keys = frozenset(
+        action.dest.replace("_", "-")
+        for command in sub.choices.values()
+        for action in command._actions
+        if action.option_strings
+    )
     return parser
 
 
@@ -206,12 +213,15 @@ def _config_tokens(args: argparse.Namespace) -> List[str]:
     """The ``--config`` file's values for the command's options, as argv.
 
     The file holds key=value lines; blank lines and '#' comments are
-    skipped. A key is an option's long name without the leading dashes;
-    other keys are ignored, and so is ``streamline``: it appends, so it
-    stays a flag. Each value becomes one ``--key=value`` token, so a value
-    that starts with ``-`` or holds ``=`` arrives intact.
+    skipped. A key is an option's long name without the leading dashes
+    (``resolution``, not its alias ``res``). A key that names no option of
+    any command raises ValueError; the other commands' keys are ignored,
+    so one file serves them all, and so is ``streamline``: it appends, so
+    it stays a flag. Each value becomes one ``--key=value`` token, so a
+    value that starts with ``-`` or holds ``=`` arrives intact.
     """
     config = {}
+    known = build_parser().config_keys
     with open(args.config) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -220,7 +230,10 @@ def _config_tokens(args: argparse.Namespace) -> List[str]:
             if "=" not in line:
                 raise ValueError(f"{args.config}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in known:
+                raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
+            config[key] = value.strip()
     return [
         f"--{key}={config[key]}"
         for dest in vars(args)

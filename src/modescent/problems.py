@@ -6,14 +6,15 @@ gradient evaluation is counted in a caller-owned :class:`QueryLedger`, so the
 incremental solvers can prove their per-iteration query budgets.
 
 :func:`values_and_gradients` asks for all m values and all m gradients at
-one point in a single call, and :func:`gradients_at` for every gradient at
-each of N points. Both use the problem's optional ``stacked`` callable, a
-closed-form evaluation of every objective at once that takes points of
-shape (..., n), and otherwise loop over the per-objective callables; that
-loop is the reference the stacked forms are tested against, bit for bit.
-Every shipped factory supplies ``stacked``. :func:`gradient_all` is the
-N = 1 case of :func:`gradients_at`; the solvers use
-:func:`values_and_gradients` for their per-record diagnostics, and the
+one point, or at each of N points, in a single call, and
+:func:`gradients_at` for every gradient at each of N points. Both use the
+problem's optional ``stacked`` callable, a closed-form evaluation of every
+objective at once that takes points of shape (..., n), and otherwise loop
+over the per-objective callables; that loop is the reference the stacked
+forms are tested against, bit for bit. Every shipped factory supplies
+``stacked``. :func:`gradient_all` is the N = 1 case of
+:func:`gradients_at`; the solvers fill their per-record diagnostics from
+one :func:`values_and_gradients` call per block of records, and the
 planar field sampler and its streamlines query through
 :func:`gradients_at`. ``evaluate`` and ``gradient`` stay single queries.
 """
@@ -50,9 +51,9 @@ class MultiObjectiveProblem:
         Points of shape (..., n) -> (values of shape (..., m), gradients of
         shape (..., m, n)): every objective and gradient at every point at
         once, equal bit for bit to the per-objective callables point by
-        point. Used by :func:`values_and_gradients` (one point, shape (n,))
-        and :func:`gradients_at` (an (N, n) batch, in one call); without it
-        both loop over ``objectives``/``gradient_fns``.
+        point. Used by :func:`values_and_gradients` (one point, shape (n,),
+        or an (N, n) batch) and :func:`gradients_at` (an (N, n) batch), in
+        one call; without it both loop over ``objectives``/``gradient_fns``.
     """
 
     dimension: int
@@ -132,6 +133,17 @@ def _check_point(problem: MultiObjectiveProblem, x: Array) -> Array:
     return x
 
 
+def _check_points(problem: MultiObjectiveProblem, points: Array) -> Array:
+    """:func:`_check_point` for a batch of N points, shape (N, n)."""
+    pts = np.asarray(points, dtype=float)
+    n = problem.dimension
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points have shape {pts.shape}, expected (N, {n})")
+    if not np.isfinite(pts).all():
+        raise ValueError("point has non-finite coordinates")
+    return pts
+
+
 def _check_index(problem: MultiObjectiveProblem, i: int) -> None:
     if not 0 <= i < problem.num_objectives:
         raise IndexError(
@@ -183,28 +195,37 @@ def gradient_all(
 def values_and_gradients(
     problem: MultiObjectiveProblem, x: Array, ledger: QueryLedger
 ) -> Tuple[Array, Array]:
-    """All m values (m,) and gradients (m, n) at x in one call.
+    """All m values (m,) and gradients (m, n) at one point x (n,), or
+    (N, m) and (N, m, n) at each point of a batch x (N, n), in one call.
 
     Checks x once and counts one function and one gradient query per
-    objective, as ``evaluate_all`` plus ``gradient_all`` would. Uses
-    ``problem.stacked`` when present, otherwise the per-objective callables.
-    Raises ValueError on a bad point or on output of the wrong shape.
+    objective and point, as ``evaluate_all`` plus ``gradient_all`` would.
+    Uses ``problem.stacked`` when present, otherwise the per-objective
+    callables. Raises ValueError on a bad point or on output of the wrong
+    shape.
     """
-    x = _check_point(problem, x)
-    ledger.function_counts += 1
-    ledger.gradient_counts += 1
+    x = np.asarray(x, dtype=float)
+    x = _check_point(problem, x) if x.ndim == 1 else _check_points(problem, x)
+    count = len(x) if x.ndim == 2 else 1
+    ledger.function_counts += count
+    ledger.gradient_counts += count
+    m, n = problem.num_objectives, problem.dimension
     if problem.stacked is not None:
         values, grads = problem.stacked(x)
-    else:
+    elif x.ndim == 1:
         values = [f(x) for f in problem.objectives]
         grads = [g(x) for g in problem.gradient_fns]
+    else:  # an empty batch keeps the shapes (0, m) and (0, m, n)
+        values = [[f(p) for f in problem.objectives] for p in x] or np.empty((0, m))
+        grads = [[g(p) for g in problem.gradient_fns] for p in x] or np.empty((0, m, n))
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
-    m, n = problem.num_objectives, problem.dimension
-    if values.shape != (m,) or grads.shape != (m, n):
+    lead = x.shape[:-1]
+    if values.shape != lead + (m,) or grads.shape != lead + (m, n):
         raise ValueError(
             f"problem {problem.name!r} returned values of shape {values.shape}"
-            f" and gradients of shape {grads.shape}, expected ({m},) and ({m}, {n})"
+            f" and gradients of shape {grads.shape},"
+            f" expected {lead + (m,)} and {lead + (m, n)}"
         )
     return values, grads
 
@@ -219,13 +240,7 @@ def gradients_at(
     queries per point. Raises ValueError on bad points and, naming the
     problem, on a failed query or wrong-shaped or non-finite gradients.
     """
-    pts = np.asarray(points, dtype=float)
-    n = problem.dimension
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError(f"points have shape {pts.shape}, expected (N, {n})")
-    if not np.isfinite(pts).all():
-        raise ValueError("point has non-finite coordinates")
-    return _checked_gradients_at(problem, pts, ledger)
+    return _checked_gradients_at(problem, _check_points(problem, points), ledger)
 
 
 def _checked_gradients_at(

@@ -19,13 +19,14 @@ returns the step or a stop reason. Every run returns a list of
 :class:`IterationRecord`; one record per started iteration, where the last
 record carries the stop reason and the final iterate. Gradient and function
 queries are counted exactly in the run's ledger. Per-record diagnostics
-(objective values, smallest gradient norm) come from one
-:func:`~modescent.problems.values_and_gradients` call per record on a
-separate throwaway ledger, so they never distort the accounting and cost
-one stacked evaluation rather than 2m single queries; the gradient norms
-are taken after a power-of-two prescale, so tiny gradients do not read as
-zero. The three line searches share one backtracking loop, and both
-incremental methods one slate refresh and central solve.
+(objective values, smallest gradient norm) are read by no step, so the
+loop fills them every ``_DIAGNOSTIC_BLOCK`` records and at the run's end
+from one :func:`~modescent.problems.values_and_gradients` call and one
+``row_norms`` on a throwaway ledger, bit for bit the single-point query;
+they never distort the accounting, and the norms are taken after a
+power-of-two prescale, so tiny gradients do not read as zero. The three
+line searches share one backtracking loop, and both incremental methods
+one slate refresh and central solve.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ TRACE_FLOAT_FORMAT = ".17g"
 MAX_HALVINGS = 60
 # the baselines stop as critical once their direction norm falls to this
 CRIT_TOL = 1e-12
+# _run fills the diagnostics of this many records from one batched query
+_DIAGNOSTIC_BLOCK = 64
 # classify_run's thresholds besides NORM_CAP: an exact gradient norm at
 # GRAD_FLOOR counts as vanishing, every objective below VALUE_FLOOR as
 # unbounded decrease
@@ -149,16 +152,19 @@ class IterationRecord:
     step_floor: Optional[float] = None
 
 
-def _diagnostics(problem: MultiObjectiveProblem, x: Array):
-    """Objective values and smallest gradient norm on a throwaway ledger."""
+def _fill_diagnostics(
+    problem: MultiObjectiveProblem, records: List[IterationRecord]
+) -> None:
+    """Set the objective values and smallest gradient norm of ``records``
+    from one batched query at their x on a throwaway ledger."""
     scratch = QueryLedger.for_objectives(problem.num_objectives)
-    values, grads = values_and_gradients(problem, x, scratch)
-    return values, float(row_norms(grads).min())
-
-
-def _ratio(min_grad: float, dir_norm: float) -> float:
-    """min_grad / dir_norm, 0 for an infinite norm (NaN stays NaN)."""
-    return 0.0 if math.isinf(dir_norm) else min_grad / dir_norm
+    values, grads = values_and_gradients(
+        problem, np.stack([r.x for r in records]), scratch
+    )
+    norms = row_norms(grads.reshape(-1, problem.dimension))
+    min_grads = norms.reshape(values.shape).min(axis=1).tolist()
+    for r, v, min_grad in zip(records, values, min_grads):
+        r.objective_values, r.min_grad_norm = v, min_grad
 
 
 class _Step(NamedTuple):
@@ -187,37 +193,54 @@ def _run(
     ``step(k, x)`` makes iteration k's queries at x and returns a
     :class:`_Step`, or a (stop reason, direction norm) pair that ends the
     run. Each started iteration gets one record of its pre-step x, with the
-    diagnostics taken there and the ledger read after the iteration's
-    queries; past ``max_iter`` iterations the run ends with a MaxIter
-    record. With ``ratio`` False (the baselines) ``ratio_metric`` is NaN.
+    ledger read after the iteration's queries; past ``max_iter`` iterations
+    the run ends with a MaxIter record. A record whose step supplies no
+    ``values``/``min_grad`` waits for :func:`_fill_diagnostics`, run on
+    every ``_DIAGNOSTIC_BLOCK`` waiting records and at the end; a run that
+    raises fills them first, so a failing diagnostic raises ahead of any
+    later step's error. With ``ratio`` False (the baselines)
+    ``ratio_metric`` is NaN.
     """
     records: List[IterationRecord] = []
-    for k in itertools.count(1):
-        out = step(k, x) if k <= max_iter else (STOP_MAX_ITER, float("nan"))
-        done = not isinstance(out, _Step)
-        reason, dir_norm = out if done else (None, out.dir_norm)
-        if done or out.values is None:
-            values, min_grad = _diagnostics(problem, x)
-        else:
-            values, min_grad = out.values, out.min_grad
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x.copy(),
-                alpha=0.0 if done else out.alpha,
-                dir_norm=dir_norm,
-                objective_values=values,
-                min_grad_norm=min_grad,
-                ratio_metric=_ratio(min_grad, dir_norm) if ratio else float("nan"),
-                grad_evals=ledger.gradient_evals,
-                fn_evals=ledger.function_evals,
-                stop_reason=reason,
-                step_floor=None if done else out.step_floor,
+    pending: List[IterationRecord] = []
+    try:
+        for k in itertools.count(1):
+            out = step(k, x) if k <= max_iter else (STOP_MAX_ITER, float("nan"))
+            done = not isinstance(out, _Step)
+            reason, dir_norm = out if done else (None, out.dir_norm)
+            supplied = not done and out.values is not None
+            records.append(
+                IterationRecord(
+                    k=k,
+                    x=x.copy(),
+                    alpha=0.0 if done else out.alpha,
+                    dir_norm=dir_norm,
+                    objective_values=out.values if supplied else None,
+                    min_grad_norm=out.min_grad if supplied else float("nan"),
+                    ratio_metric=float("nan"),
+                    grad_evals=ledger.gradient_evals,
+                    fn_evals=ledger.function_evals,
+                    stop_reason=reason,
+                    step_floor=None if done else out.step_floor,
+                )
             )
-        )
-        if done:
-            return records
-        x = out.x_next
+            if not supplied:
+                pending.append(records[-1])
+                if len(pending) == _DIAGNOSTIC_BLOCK:
+                    block, pending = pending, []
+                    _fill_diagnostics(problem, block)
+            if done:
+                break
+            x = out.x_next
+    finally:
+        if pending:
+            _fill_diagnostics(problem, pending)
+    if ratio:  # min_grad / dir_norm, 0 for an infinite norm, NaN stays NaN
+        for r in records:
+            r.ratio_metric = (
+                0.0 if math.isinf(r.dir_norm) else r.min_grad_norm / r.dir_norm
+            )
+    return records
 
 
 def _unqueried_verdict(outcome, refreshed: Array) -> bool:
@@ -509,6 +532,8 @@ def _check_weights(pi: Sequence[float], m: int) -> Array:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (m,):
         raise ValueError("one weight per objective")
+    if not np.isfinite(pi).all():
+        raise ValueError(f"weights must be finite, got {pi.tolist()}")
     if np.any(pi < 0.0) or abs(float(pi.sum()) - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to 1")
     return pi

@@ -140,6 +140,7 @@ class TestSolve:
             (("--algo", "iag", "--iag-alpha", "nan"), "alpha"),
             (("--problem", "figure1-scaled:nan,1"), "finite and positive"),
             (("--problem", "figure1-scaled:1,inf"), "finite and positive"),
+            (("--algo", "scalarized:nan,1"), "weights must be finite"),
         ],
     )
     def test_bad_numbers_exit_one_by_name(self, capsys, argv, name):
@@ -382,6 +383,36 @@ class TestConfig:
         summary = json.loads(out)
         assert summary["nodes"] == 36
         assert "streamlines" not in summary
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("field", "res"), ("solve", "max_iter"), ("solve", "max-iters")],
+    )
+    def test_unknown_key_exits_one_by_name(self, capsys, tmp_path, command, key):
+        # res is an alias of --resolution, and max_iter misspells max-iter:
+        # neither names an option, so neither may fall back to the default
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# typo\n{key}=9\n")
+        grid = tmp_path / "g.csv"
+        argv = [command, "--config", str(cfg)]
+        if command == "field":
+            argv += ["--out", str(grid)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"{cfg}:2: unknown key {key!r}" in err
+        assert not grid.exists()
+
+    def test_keys_of_the_other_command_are_ignored(self, capsys, tmp_path):
+        # one file serves solve, field and verify: each reads its own keys
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("max-iter=7\nresolution=6\nsuite=kkt\nconfig=x.cfg\n")
+        _, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
+        assert json.loads(out)["iterations"] == 7
+        code, out, _ = run_cli(
+            capsys, "field", "--config", str(cfg), "--out", str(tmp_path / "g.csv")
+        )
+        assert code == 0
+        assert json.loads(out)["nodes"] == 36
 
     def test_nothing_leaks_into_the_next_run(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

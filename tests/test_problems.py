@@ -434,7 +434,15 @@ class TestValuesAndGradients:
             values_and_gradients(short, np.zeros(2), QueryLedger.for_objectives(2))
 
     @pytest.mark.parametrize(
-        "x", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0], [[0.0, 0.0]]]
+        "x",
+        [
+            [np.nan, 0.0],
+            [0.0, np.inf],
+            [0.0, 0.0, 0.0],
+            [[[0.0, 0.0]]],  # neither one point nor a batch
+            [[0.0, 0.0, 0.0]],  # a batch of points of the wrong length
+            [[0.0, 0.0], [np.nan, 0.0]],  # one bad point spoils the batch
+        ],
     )
     def test_bad_points_raise_before_counting(self, fig1, x):
         ledger = QueryLedger.for_objectives(2)
@@ -665,6 +673,38 @@ class TestBatchedStacked:
             one_values, one_grads = problem.stacked(x)
             assert same_bits(one_values, flat_values[k])
             assert same_bits(one_grads, flat_grads[k])
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "loop"])
+    @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("count", [0, 1, 60])
+    def test_values_and_gradients_batch_equals_single_points(
+        self, problem, count, stacked
+    ):
+        m, n = problem.num_objectives, problem.dimension
+        if not stacked:
+            problem = dataclasses.replace(problem, stacked=None)
+        points = np.random.default_rng(count + 5).uniform(-3.0, 1.0, size=(count, n))
+        ledger = QueryLedger.for_objectives(m)
+        values, grads = values_and_gradients(problem, points, ledger)
+        assert values.shape == (count, m) and grads.shape == (count, m, n)
+        assert ledger.function_counts.tolist() == [count] * m
+        assert ledger.gradient_counts.tolist() == [count] * m
+        for x, row, g in zip(points, values, grads):
+            one_values, one_grads = values_and_gradients(problem, x, ledger)
+            assert same_bits(row, one_values)
+            assert same_bits(g, one_grads)
+            ref_values, ref_grads = per_objective(problem, x)
+            assert same_bits(row, ref_values)
+            assert same_bits(g, ref_grads)
+
+    def test_values_and_gradients_batch_of_the_wrong_output_shape_raises(self, fig1):
+        # the one-point output of a stacked form that ignores the batch
+        bad = dataclasses.replace(
+            fig1, stacked=lambda x: (np.zeros(2), np.zeros((2, 2))), name="bad"
+        )
+        points = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"expected \(3, 2\) and \(3, 2, 2\)"):
+            values_and_gradients(bad, points, QueryLedger.for_objectives(2))
 
     @pytest.mark.parametrize("problem", BATCHED_PROBLEMS, ids=lambda p: p.name)
     @pytest.mark.parametrize("count", [0, 1, 60])

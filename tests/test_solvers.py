@@ -30,8 +30,8 @@ from modescent import (
     write_trace_csv,
 )
 from modescent import directions, solvers
-from modescent.problems import gradient, problem_from_name
-from reference import per_objective
+from modescent.problems import gradient, problem_from_name, values_and_gradients
+from reference import per_objective, same_bits
 
 
 def completed(records):
@@ -560,6 +560,23 @@ class TestIncrementalAggregated:
         with pytest.raises(ValueError):
             run_incremental_aggregated(fig1, (0.7, 0.7), (0.0, 0.0), alpha=0.1, window=2)
 
+    @pytest.mark.parametrize("weights", [(np.nan, 1.0), (np.inf, -np.inf)])
+    @pytest.mark.parametrize("algo", ["scalarized", "iag"])
+    def test_non_finite_weights_raise_before_any_query(self, fig1, algo, weights):
+        def unqueried(x):
+            raise AssertionError("queried despite bad weights")
+
+        problem = dataclasses.replace(
+            fig1, objectives=(unqueried,) * 2, gradient_fns=(unqueried,) * 2
+        )
+        with pytest.raises(ValueError, match="weights must be finite"):
+            if algo == "scalarized":
+                run_scalarized(problem, weights, (0.0, 0.0))
+            else:
+                run_incremental_aggregated(
+                    problem, weights, (0.0, 0.0), alpha=0.1, window=2
+                )
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1])
     def test_rejects_bad_alpha_by_name(self, fig1, alpha):
         with pytest.raises(ValueError, match="alpha"):
@@ -914,6 +931,120 @@ class TestStackedDiagnostics:
         assert abs(term.min_grad_norm - min_grad) <= 1e-15 * min_grad
         assert term.grad_evals == 3 * 5
 
+
+BLOCK_RUN_CASES = [
+    ("random-quadratic:10,20,0", 0.0, True),
+    ("random-quadratic:10,20,0", 0.0, False),
+    ("figure1-scaled:1e-300,1", (-300.0, -400.0), True),
+    ("linear-decline:3,2,0", 0.0, True),
+    ("linear-decline:3,2,0", 0.0, False),
+]
+
+
+def run_named(algo, problem, x0, max_iter):
+    m = problem.num_objectives
+    if algo == "icd":
+        return run_incremental_central(
+            problem, x0, StepSchedule.harmonic(), max_iter=max_iter
+        )
+    if algo == "icd-armijo":
+        return run_incremental_central_armijo(problem, x0, max_iter=max_iter)
+    if algo == "steepest":
+        return run_full_steepest(problem, x0, max_iter=max_iter)
+    if algo == "scalarized":
+        return run_scalarized(problem, np.full(m, 1.0 / m), x0, max_iter=max_iter)
+    return run_incremental_aggregated(
+        problem, np.full(m, 1.0 / m), x0, alpha=0.05, window=m, max_iter=max_iter
+    )
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestBlockDiagnostics:
+    """The records' diagnostics, filled a block of records at a time from
+    one batched query, equal the single-point query at each record's x."""
+
+    ALGOS = ["icd", "icd-armijo", "steepest", "scalarized", "iag"]
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_every_record_equals_the_single_point_reference(self, algo):
+        block = solvers._DIAGNOSTIC_BLOCK
+        lengths = []
+        for name, start, stacked in BLOCK_RUN_CASES:
+            problem = problem_from_name(name)
+            if not stacked:
+                problem = dataclasses.replace(problem, stacked=None)
+            x0 = np.full(problem.dimension, 1.0) * start
+            records = run_named(algo, problem, x0, 150)
+            lengths.append(len(records))
+            ledger = QueryLedger.for_objectives(problem.num_objectives)
+            for r in records:
+                values, grads = values_and_gradients(problem, r.x, ledger)
+                min_grad = float(directions.row_norms(grads).min())
+                ratio = float("nan")
+                if algo.startswith("icd"):
+                    ratio = 0.0 if math.isinf(r.dir_norm) else min_grad / r.dir_norm
+                assert same_bits(r.objective_values, values)
+                assert same_float(r.min_grad_norm, min_grad)
+                assert same_float(r.ratio_metric, ratio)
+        # some run crosses two block boundaries and ends inside a partial block
+        assert any(n > 2 * block and n % block for n in lengths), lengths
+
+    def test_block_fill_is_batched(self, monkeypatch):
+        calls = []
+        real = solvers.values_and_gradients
+
+        def spy(problem, x, ledger):
+            calls.append(np.shape(x))
+            return real(problem, x, ledger)
+
+        monkeypatch.setattr(solvers, "values_and_gradients", spy)
+        problem = problem_from_name("random-quadratic:10,20,0")
+        records = run_named("icd-armijo", problem, np.zeros(20), 150)
+        block = solvers._DIAGNOSTIC_BLOCK
+        assert len(records) == 151
+        assert calls == [(block, 20), (block, 20), (151 - 2 * block, 20)]
+
+    @pytest.mark.parametrize("max_iter", [10, 150])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_non_finite_diagnostic_gradient_raises(self, algo, max_iter):
+        # the step queries the per-objective callables, which stay finite;
+        # only the diagnostics' stacked query returns an infinite gradient
+        fig1 = problem_from_name("figure1")
+
+        def stacked(x):
+            values, grads = fig1.stacked(x)
+            return values, np.where(grads > 0.0, np.inf, grads)
+
+        problem = dataclasses.replace(fig1, stacked=stacked, name="inf-grads")
+        with pytest.raises(ValueError, match="non-finite"):
+            run_named(algo, problem, np.array([0.5, 0.5]), max_iter)
+
+    def test_diagnostic_error_comes_before_a_later_step_error(self):
+        # record by record, the first record's diagnostics would raise before
+        # the step that fails at k = 5; the block fill keeps that order
+        fig1 = problem_from_name("figure1")
+        calls = []
+
+        def failing_g1(x):
+            calls.append(x)
+            if len(calls) == 3:
+                raise RuntimeError("gradient oracle failed")
+            return fig1.gradient_fns[0](x)
+
+        def stacked(x):
+            values, grads = fig1.stacked(x)
+            return values, np.full_like(grads, np.nan)
+
+        problem = dataclasses.replace(
+            fig1, gradient_fns=(failing_g1, fig1.gradient_fns[1]), stacked=stacked
+        )
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            run_named("icd", problem, np.array([0.5, 0.5]), 150)
+        assert isinstance(exc.value.__context__, RuntimeError)
+        assert len(calls) == 3
 
 
 class TestUnqueriedCertificates:
