@@ -43,13 +43,17 @@ slate is prescaled by powers of two before any norm is taken, which is
 exact, so no intermediate overflows or underflows and the answers are bit
 for bit those of the unscaled arithmetic wherever that does not. A result
 is lost only when it lies outside the float range itself; a row is null
-only when it is exactly zero.
+only when it is exactly zero. The central solve returns the direction at
+once and forms its KKT certificate (multipliers and residual) only when
+first read, from the prescaled rows it keeps, so the solvers, which read
+neither, do not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -128,17 +132,44 @@ class DirectionOutcome:
 
     For "infeasible", ``certificate`` holds simplex weights mu with
     ||sum mu_i g_i/||g_i|| || <= ``QP_TOL``, i.e. zero in the hull of
-    normalized gradients.
+    normalized gradients, and ``kkt_residual`` is that norm.
+
+    ``multipliers``, ``kkt_residual`` and ``slate_norms`` (the slate's row
+    norms, bit for bit :func:`row_norms`) are formed on first read from the
+    solve's prescaled rows, which the outcome owns: a caller that reads none
+    of them does not pay for them, and overwriting the solved slate's rows
+    afterwards changes none of them.
     """
 
     kind: str
     vector: Optional[Array] = None
     norm: float = float("inf")
     active_set: tuple = ()
-    multipliers: Optional[Array] = None
     norm_capped: bool = False
     certificate: Optional[Array] = None
-    kkt_residual: float = float("nan")
+    # (scaled, scaled_norms, exps, mu, delta) of the solve, or None
+    _solve: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _kkt(self) -> Tuple[Optional[Array], float]:
+        if self._solve is None:
+            return None, float("nan")
+        if self.kind == INFEASIBLE:
+            return None, self._solve[-1]
+        return _kkt_certificate(self.vector, *self._solve)
+
+    @property
+    def multipliers(self) -> Optional[Array]:
+        return self._kkt[0]
+
+    @property
+    def kkt_residual(self) -> float:
+        return self._kkt[1]
+
+    @property
+    def slate_norms(self) -> Array:
+        _, scaled_norms, exps, _, _ = self._solve
+        return np.ldexp(scaled_norms, exps)
 
 
 def _affine_minimizer(gram_s: Array) -> Array:
@@ -590,24 +621,41 @@ def central_direction(
     x, mu, _ = _min_norm_point(unit, start, wolfe)
     # the 1-D norms are np.linalg.norm's sqrt(x . x), without its dispatch
     delta = math.sqrt(x @ x)
+    solve = (scaled, scaled_norms, exps, mu, delta)
     if delta <= QP_TOL:
         return DirectionOutcome(
-            kind=INFEASIBLE,
-            vector=None,
-            norm=float("inf"),
-            certificate=mu,
-            kkt_residual=delta,
+            kind=INFEASIBLE, vector=None, certificate=mu, _solve=solve
         )
-    delta2 = delta * delta
-    # -x / delta2 bit for bit: rounding is symmetric in the sign
-    v = x / -delta2
+    # -x / delta**2 bit for bit: rounding is symmetric in the sign
+    v = x / -(delta * delta)
     vnorm = math.sqrt(v @ v)
     # mu is zero off the support, so its positive entries are the support
     # vertices with positive weight, in increasing order
+    return DirectionOutcome(
+        kind=DIRECTION,
+        vector=v,
+        norm=vnorm,
+        active_set=tuple((mu > 0.0).nonzero()[0].tolist()),
+        norm_capped=bool(vnorm > NORM_CAP),
+        _solve=solve,
+    )
+
+
+def _kkt_certificate(
+    v: Array, scaled: Array, scaled_norms: Array, exps: Array, mu: Array, delta: float
+) -> Tuple[Array, float]:
+    """Multipliers and KKT residual of a feasible central solve.
+
+    Formed in the scaled rows: lambda_i = 2**-e_i * a_i and slack_i =
+    2**e_i * scaled_slack_i, so lambda_i g_i = a_i scaled_i and lambda_i
+    slack_i = a_i scaled_slack_i stay finite for any finite slate. Only the
+    unscaled values can leave the float range: the multiplier of a row
+    scaled up by more than about 2**1020 (a tiny gradient) is inf, and the
+    slack of an inactive row of a huge gradient is -inf, which the primal
+    residual's max ignores; neither warns.
+    """
+    delta2 = delta * delta
     active = (mu > 0.0).nonzero()[0]
-    # the certificate is formed in the scaled rows: lambda_i = 2**-e_i * a_i
-    # and slack_i = 2**e_i * scaled_slack_i, so lambda_i g_i = a_i scaled_i and
-    # lambda_i slack_i = a_i scaled_slack_i stay finite for any finite slate
     scaled_slack = scaled @ v + scaled_norms
     if len(active) == len(mu):  # every row active: no row selection
         rows, a = scaled, mu / (delta2 * scaled_norms)
@@ -615,32 +663,16 @@ def central_direction(
     else:
         rows, a = scaled[active], mu[active] / (delta2 * scaled_norms[active])
         shift, slack = -exps[active], scaled_slack[active]
-    # mu_i <= 1 and scaled_norms_i >= 1/2 give a_i <= 2**(3 - 2E) for
-    # delta in [2**(E-1), 2**E), so lambda_i can leave the float range only
-    # for a row scaled up by more than 2**(1020 + 2E), a tiny gradient; its
-    # multiplier is then inf
-    if np.maximum.reduce(shift, initial=0) > 1020 + 2 * math.frexp(delta)[1]:
-        with np.errstate(over="ignore"):
-            lambdas = np.ldexp(a, shift)
-    else:
+    with np.errstate(over="ignore"):
         lambdas = np.ldexp(a, shift)
-    primal = max(float(np.maximum.reduce(np.ldexp(scaled_slack, exps))), 0.0)
+        primal = max(float(np.maximum.reduce(np.ldexp(scaled_slack, exps))), 0.0)
     if len(active):
         r = v + rows.T @ a
         stationarity = math.sqrt(r @ r)
         complementarity = float(np.maximum.reduce(np.abs(a * slack)))
     else:
         stationarity, complementarity = math.inf, 0.0
-    return DirectionOutcome(
-        kind=DIRECTION,
-        vector=v,
-        norm=vnorm,
-        active_set=tuple(active.tolist()),
-        multipliers=lambdas,
-        norm_capped=bool(vnorm > NORM_CAP),
-        certificate=None,
-        kkt_residual=max(primal, stationarity, complementarity),
-    )
+    return lambdas, max(primal, stationarity, complementarity)
 
 
 def steepest_direction(

@@ -17,13 +17,17 @@ forms are tested against, bit for bit. Every shipped factory supplies
 one :func:`values_and_gradients` call per block of records, and the
 planar field sampler and its streamlines query through
 :func:`gradients_at`. ``evaluate`` and ``gradient`` stay single queries.
+The solvers' iteration paths use :func:`gradient_rows`, several gradients
+at one point checked once, and :func:`line_query`, the trials of one line
+search, whose start, direction and end point are checked once. Every
+query check names the problem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,10 +130,11 @@ def _check_point(problem: MultiObjectiveProblem, x: Array) -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
         raise ValueError(
-            f"point has shape {x.shape}, expected ({problem.dimension},)"
+            f"problem {problem.name!r}: point has shape {x.shape},"
+            f" expected ({problem.dimension},)"
         )
     if not np.isfinite(x).all():
-        raise ValueError("point has non-finite coordinates")
+        raise ValueError(f"problem {problem.name!r}: point has non-finite coordinates")
     return x
 
 
@@ -138,16 +143,19 @@ def _check_points(problem: MultiObjectiveProblem, points: Array) -> Array:
     pts = np.asarray(points, dtype=float)
     n = problem.dimension
     if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError(f"points have shape {pts.shape}, expected (N, {n})")
+        raise ValueError(
+            f"problem {problem.name!r}: points have shape {pts.shape}, expected (N, {n})"
+        )
     if not np.isfinite(pts).all():
-        raise ValueError("point has non-finite coordinates")
+        raise ValueError(f"problem {problem.name!r}: point has non-finite coordinates")
     return pts
 
 
 def _check_index(problem: MultiObjectiveProblem, i: int) -> None:
     if not 0 <= i < problem.num_objectives:
         raise IndexError(
-            f"objective index {i} out of range [0, {problem.num_objectives})"
+            f"problem {problem.name!r}: objective index {i}"
+            f" out of range [0, {problem.num_objectives})"
         )
 
 
@@ -165,11 +173,64 @@ def gradient(
     problem: MultiObjectiveProblem, i: int, x: Array, ledger: QueryLedger
 ) -> Array:
     """Evaluate grad f_i(x) and count one gradient query on objective i."""
-    _check_index(problem, i)
+    return gradient_rows(problem, (i,), x, ledger)[0]
+
+
+def gradient_rows(
+    problem: MultiObjectiveProblem, rows: Sequence[int], x: Array, ledger: QueryLedger
+) -> List[Array]:
+    """grad f_i(x) for each i in ``rows``, as :func:`gradient` gives it, with
+    every index and x checked once, before any query is counted; counts one
+    gradient query per row."""
+    for i in rows:
+        _check_index(problem, i)
     x = _check_point(problem, x)
-    ledger.tick_gradient(i)
-    g = np.asarray(problem.gradient_fns[i](x), dtype=float)
-    return g
+    grads = []
+    for i in rows:
+        ledger.tick_gradient(i)
+        grads.append(np.asarray(problem.gradient_fns[i](x), dtype=float))
+    return grads
+
+
+def line_query(
+    problem: MultiObjectiveProblem, x: Array, u: Array, ledger: QueryLedger
+) -> Callable[[int, float], float]:
+    """The function queries of one line search from x along u, checked once.
+
+    Checks once that x and u have shape (n,) and that x and x + u are
+    finite, and raises ValueError naming the problem otherwise. Returns
+    ``value(i, alpha)``, which raises IndexError for an objective index
+    outside [0, m) and ValueError for an alpha outside [0, 1], both before
+    counting anything, then counts one function query on objective i and
+    returns f_i(x + alpha * u), the value :func:`evaluate` gives at that
+    point. Rounding is monotone, so each coordinate of x + alpha * u lies
+    between those of x and of x + u: no trial point can be non-finite, and
+    none goes unchecked.
+    """
+    name, m = problem.name, problem.num_objectives
+    x = _check_point(problem, x)
+    u = np.asarray(u, dtype=float)
+    if u.shape != x.shape:
+        raise ValueError(
+            f"problem {name!r}: direction has shape {u.shape}, expected {x.shape}"
+        )
+    with np.errstate(over="ignore"):  # an overflow is what this check reports
+        end = x + u
+    if not np.isfinite(end).all():
+        raise ValueError(f"problem {name!r}: line search end point x + u is not finite")
+    fns = problem.objectives
+
+    def value(i: int, alpha: float) -> float:
+        if not 0 <= i < m:
+            raise IndexError(
+                f"problem {name!r}: objective index {i} out of range [0, {m})"
+            )
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"problem {name!r}: step {alpha!r} outside [0, 1]")
+        ledger.tick_function(i)
+        return float(fns[i](x + alpha * u))
+
+    return value
 
 
 def evaluate_all(
@@ -201,8 +262,8 @@ def values_and_gradients(
     Checks x once and counts one function and one gradient query per
     objective and point, as ``evaluate_all`` plus ``gradient_all`` would.
     Uses ``problem.stacked`` when present, otherwise the per-objective
-    callables. Raises ValueError on a bad point or on output of the wrong
-    shape.
+    callables. Raises ValueError on a bad point and, naming the problem, on
+    a failed query or output of the wrong shape or non-finite output.
     """
     x = np.asarray(x, dtype=float)
     x = _check_point(problem, x) if x.ndim == 1 else _check_points(problem, x)
@@ -210,16 +271,20 @@ def values_and_gradients(
     ledger.function_counts += count
     ledger.gradient_counts += count
     m, n = problem.num_objectives, problem.dimension
-    if problem.stacked is not None:
-        values, grads = problem.stacked(x)
-    elif x.ndim == 1:
-        values = [f(x) for f in problem.objectives]
-        grads = [g(x) for g in problem.gradient_fns]
-    else:  # an empty batch keeps the shapes (0, m) and (0, m, n)
-        values = [[f(p) for f in problem.objectives] for p in x] or np.empty((0, m))
-        grads = [[g(p) for g in problem.gradient_fns] for p in x] or np.empty((0, m, n))
-    values = np.asarray(values, dtype=float)
-    grads = np.asarray(grads, dtype=float)
+    try:
+        if problem.stacked is not None:
+            values, grads = problem.stacked(x)
+        elif x.ndim == 1:
+            values = [f(x) for f in problem.objectives]
+            grads = [g(x) for g in problem.gradient_fns]
+        else:  # an empty batch keeps the shapes (0, m) and (0, m, n)
+            values = [[f(p) for f in problem.objectives] for p in x] or np.empty((0, m))
+            grads = [[g(p) for g in problem.gradient_fns] for p in x] or np.empty((0, m, n))
+        values = np.asarray(values, dtype=float)
+        grads = np.asarray(grads, dtype=float)
+    except (IndexError, TypeError, ValueError) as exc:
+        msg = f"problem {problem.name!r} failed on points of shape {x.shape}"
+        raise ValueError(msg) from exc
     lead = x.shape[:-1]
     if values.shape != lead + (m,) or grads.shape != lead + (m, n):
         raise ValueError(
@@ -227,6 +292,9 @@ def values_and_gradients(
             f" and gradients of shape {grads.shape},"
             f" expected {lead + (m,)} and {lead + (m, n)}"
         )
+    for what, out in (("values", values), ("gradients", grads)):
+        if not np.isfinite(out).all():
+            raise ValueError(f"problem {problem.name!r} returned non-finite {what}")
     return values, grads
 
 

@@ -25,8 +25,11 @@ from one :func:`~modescent.problems.values_and_gradients` call and one
 ``row_norms`` on a throwaway ledger, bit for bit the single-point query;
 they never distort the accounting, and the norms are taken after a
 power-of-two prescale, so tiny gradients do not read as zero. The three
-line searches share one backtracking loop, and both incremental methods
-one slate refresh and central solve.
+line searches share one backtracking loop and price its trials through
+one :func:`~modescent.problems.line_query` per search, checked once. Both
+incremental methods share one slate refresh, which checks x once for its
+rows, and one central solve, whose KKT certificate no solver reads and so
+none forms.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ from .problems import (
     MultiObjectiveProblem,
     QueryLedger,
     evaluate,
+    evaluate_all,
     gradient,
+    gradient_rows,
+    line_query,
     values_and_gradients,
 )
 
@@ -255,8 +261,10 @@ def _unqueried_verdict(outcome, refreshed: Array) -> bool:
 def _central_stepper(problem, x, ledger, slate_init, seed):
     """Fill the slate at x; return ``refresh(k, x, rows)``, which starts both
     incremental step rules. It queries the gradients of ``rows`` into the
-    slate and solves the central QP from the previous solve's active set.
-    It returns (gradients, outcome), or the stop pair: NullGradient for a
+    slate, checking x once, and solves the central QP from the previous
+    solve's active set. It returns (gradients, outcome, positions), where
+    ``positions`` are the rows' indices in the solved slate (for
+    ``outcome.slate_norms``), or the stop pair: NullGradient for a
     null slate row at k = 1 (before any query) or a zero refreshed
     gradient, Infeasible for a QP with no feasible direction within
     ``NORM_CAP`` (both certify criticality). Such a verdict stops the run
@@ -267,8 +275,9 @@ def _central_stepper(problem, x, ledger, slate_init, seed):
     if slate_init == "random-unit":
         slate = GradientSlate.random_unit(m, n, seed)
     elif slate_init == "warm-start":
-        rows = [gradient(problem, i, x, ledger) for i in range(m)]
-        slate = GradientSlate.from_gradients(np.vstack(rows))
+        slate = GradientSlate.from_gradients(
+            np.vstack(gradient_rows(problem, range(m), x, ledger))
+        )
     else:
         raise ValueError(f"unknown slate_init {slate_init!r}")
     active: tuple = ()
@@ -277,13 +286,13 @@ def _central_stepper(problem, x, ledger, slate_init, seed):
         nonlocal active
         if k == 1 and not slate.all_nonnull:
             return STOP_NULL_GRADIENT, float("nan")
-        grads = [gradient(problem, i, x, ledger) for i in rows]
+        grads = gradient_rows(problem, rows, x, ledger)
         if not all(g.any() for g in grads):
             return STOP_NULL_GRADIENT, float("nan")
         for i, g in zip(rows, grads):
             slate.update(i, g)
         outcome = central_direction(slate.vectors, start=active)
-        active = outcome.active_set
+        active, positions = outcome.active_set, rows
         if _unqueried_verdict(outcome, slate.refreshed):
             # the verdict leans on a row that was never queried (the
             # arbitrary initial fill): solve again, cold, over the queried
@@ -291,12 +300,13 @@ def _central_stepper(problem, x, ledger, slate_init, seed):
             queried = np.flatnonzero(slate.refreshed)
             outcome = central_direction(slate.vectors[queried])
             active = tuple(int(queried[i]) for i in outcome.active_set)
+            positions = np.searchsorted(queried, rows)
         # "no feasible direction within the norm cap" is the emptiness
         # certificate: a capped-but-feasible QP stops the run the same way
         # (an infeasible outcome's norm is inf).
         if outcome.kind == INFEASIBLE or outcome.norm_capped:
             return STOP_INFEASIBLE, outcome.norm
-        return grads, outcome
+        return grads, outcome, positions
 
     return refresh
 
@@ -319,7 +329,8 @@ def _armijo_details(problem, j, x, direction, g_j, beta, ledger):
 
         f_j(x + alpha d) - f_j(x) <= beta * alpha * (g_j . d).
 
-    Returns (alpha, f_j at the accepted point), or None when no step within
+    Returns (alpha, f_j at the accepted point, the search's
+    :func:`~modescent.problems.line_query`), or None when no step within
     ``MAX_HALVINGS`` halvings is acceptable. Counts one baseline query of
     f_j(x) plus one query per trial. Raises ValueError when d is not a
     descent direction for g_j.
@@ -330,14 +341,15 @@ def _armijo_details(problem, j, x, direction, g_j, beta, ledger):
     if slope >= 0.0:
         raise ValueError("not a descent direction for objective j")
     f_base = evaluate(problem, j, x, ledger)
+    line = line_query(problem, x, direction, ledger)
     trials: List[float] = []
 
     def decrease(alpha: float) -> float:
-        trials.append(evaluate(problem, j, x + alpha * direction, ledger))
+        trials.append(line(j, alpha))
         return trials[-1] - f_base
 
     alpha = _backtrack(decrease, slope, beta)
-    return None if alpha is None else (alpha, trials[-1])
+    return None if alpha is None else (alpha, trials[-1], line)
 
 
 def run_incremental_central(
@@ -453,21 +465,25 @@ def run_incremental_central_armijo(
         got = refresh(k, x, (j, t))
         if isinstance(got[0], str):
             return got
-        (g_j, _), outcome = got
+        (g_j, _), outcome, positions = got
         unit = outcome.vector / outcome.norm
         details = _armijo_details(problem, j, x, unit, g_j, beta, ledger)
         if details is None:
             return STOP_LINE_SEARCH_STALL, outcome.norm
-        alpha, f_accepted = details
+        alpha, f_accepted, line = details
         step_floor = None
         if problem.lipschitz is not None:
             l_j = problem.lipschitz[j]
             factor = 1.0 if l_j == 0.0 else min((1.0 - beta) / (2.0 * l_j), 1.0)
+            # ||g_j|| from the QP's prescaled rows, bit for bit row_norms(g_j);
             # the search starts at alpha = 1, so no floor exceeds it
-            step_floor = min(factor * float(row_norms(g_j)[0]) / outcome.norm, 1.0)
+            norm_j = float(outcome.slate_norms[positions[0]])
+            step_floor = min(factor * norm_j / outcome.norm, 1.0)
         x_next = x + alpha * unit
         t_next = chooser.next(j)
-        f_probe = evaluate(problem, t_next, x_next, ledger)
+        # x_next is the accepted trial point, so the probe is a query of the
+        # same line
+        f_probe = line(t_next, alpha)
         if f_probe < f_accepted:
             j, t = t_next, j
             retained, other = f_probe, f_accepted
@@ -504,19 +520,19 @@ def run_full_steepest(
     m = problem.num_objectives
     ledger = QueryLedger.for_objectives(m)
 
-    def values_at(y: Array) -> Array:
-        return np.array([evaluate(problem, i, y, ledger) for i in range(m)])
-
     def step(k: int, x: Array):
-        grads = np.vstack([gradient(problem, i, x, ledger) for i in range(m)])
+        grads = np.vstack(gradient_rows(problem, range(m), x, ledger))
         v, _ = _steepest_direction(grads)
         vnorm = float(np.linalg.norm(v))
         if vnorm <= CRIT_TOL:
             return STOP_NULL_GRADIENT, float("nan")
         slope = float((grads @ v).max())
-        f_base = values_at(x)
+        f_base = evaluate_all(problem, x, ledger)
+        line = line_query(problem, x, v, ledger)
         alpha = _backtrack(
-            lambda a: float((values_at(x + a * v) - f_base).max()), slope, beta
+            lambda a: float((np.array([line(i, a) for i in range(m)]) - f_base).max()),
+            slope,
+            beta,
         )
         if alpha is None:
             return STOP_LINE_SEARCH_STALL, float("nan")
@@ -560,20 +576,20 @@ def run_scalarized(
     pi = _check_weights(pi, m)
     ledger = QueryLedger.for_objectives(m)
 
-    def weighted_value(y: Array) -> float:
-        return float(
-            sum(pi[i] * evaluate(problem, i, y, ledger) for i in range(m))
-        )
+    def weighted(values) -> float:
+        return float(sum(p * f for p, f in zip(pi, values)))
 
     def step(k: int, x: Array):
-        grads = np.vstack([gradient(problem, i, x, ledger) for i in range(m)])
+        grads = np.vstack(gradient_rows(problem, range(m), x, ledger))
         g = pi @ grads
         gnorm = float(np.linalg.norm(g))
         if gnorm <= CRIT_TOL:
             return STOP_NULL_GRADIENT, float("nan")
-        f_base = weighted_value(x)
+        f_base = weighted(evaluate(problem, i, x, ledger) for i in range(m))
+        # x + a * (-g) is x - a * g bit for bit
+        line = line_query(problem, x, -g, ledger)
         alpha = _backtrack(
-            lambda a: weighted_value(x - a * g) - f_base, -gnorm**2, beta
+            lambda a: weighted(line(i, a) for i in range(m)) - f_base, -gnorm**2, beta
         )
         if alpha is None:
             return STOP_LINE_SEARCH_STALL, float("nan")

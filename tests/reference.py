@@ -234,11 +234,12 @@ def steepest_dual_reference(gradients: Array) -> Tuple[Array, float]:
 
 
 def exact_min_norm(points):
-    """Exact minimum-norm point of conv{rows of points}, two or three rows.
+    """Exact minimum-norm point of conv{rows of points}, for any m rows.
 
-    Rational arithmetic on the float rows as given: each face of the hull
-    (every vertex, edge and, for three rows, the triangle) gets the
-    min-norm point of its affine hull from the bordered system
+    Rational arithmetic on the float rows as given: each of the 2**m - 1
+    faces of the hull (every nonempty subset of the rows: vertices, edges,
+    triangles and so on up to all m rows) gets the min-norm point of its
+    affine hull from the bordered system
     [G 1; 1 0] [w; lam] = [0; 1], solved by Gauss-Jordan elimination in
     Fractions. Faces whose system is singular (affinely dependent rows) or
     whose weights are not all >= 0 are skipped; the least squared norm

@@ -16,7 +16,7 @@ from modescent import (
     hull_contains_origin_2d,
     steepest_direction,
 )
-from modescent import QueryLedger, directions, gradients_at, problem_from_name
+from modescent import QueryLedger, directions, gradients_at, problem_from_name, solvers
 from reference import (
     exact_distance,
     exact_min_norm,
@@ -969,3 +969,93 @@ class TestRowNorms:
         assert np.array_equal(np.ldexp(norms, exps), directions.row_norms(rows))
         with pytest.raises(ValueError, match="null gradient row"):
             directions._prescaled_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
+def eager_certificate(slate, start=(), wolfe=False):
+    """(multipliers, kkt_residual) of ``central_direction(slate, start,
+    wolfe)`` from the certificate formulas written out, formed at once from
+    the slate as given."""
+    scaled, norms, exps = directions._prescaled_rows(slate)
+    x, mu, _ = directions._min_norm_point(scaled / norms[:, None], start, wolfe)
+    delta = math.sqrt(x @ x)
+    if delta <= directions.QP_TOL:
+        return None, delta
+    delta2 = delta * delta
+    v = x / -delta2
+    active = (mu > 0.0).nonzero()[0]
+    a = mu[active] / (delta2 * norms[active])
+    slack = scaled @ v + norms
+    with np.errstate(over="ignore"):
+        lambdas = np.ldexp(a, -exps[active])
+        primal = max(float(np.ldexp(slack, exps).max()), 0.0)
+    r = v + scaled[active].T @ a
+    complementarity = float(np.abs(a * slack[active]).max())
+    return lambdas, max(primal, math.sqrt(r @ r), complementarity)
+
+
+def same_certificate(out, expected):
+    lambdas, residual = expected
+    if lambdas is None:
+        assert out.multipliers is None
+    else:
+        assert same_bits(out.multipliers, lambdas)
+    assert same_bits(np.float64(out.kkt_residual), np.float64(residual))
+
+
+class TestDeferredCertificate:
+    """``multipliers``, ``kkt_residual`` and ``slate_norms`` are formed on
+    first read, from arrays the outcome owns."""
+
+    def test_overwriting_the_slate_changes_nothing(self, rng):
+        kinds = set()
+        for case in range(120):
+            m, n = (3, 5) if case % 2 else (5, 2)
+            slate = GradientSlate.from_gradients(random_slate(rng, m, n))
+            before = slate.vectors.copy()
+            out = central_direction(slate.vectors, start=range(m) if case % 3 else ())
+            kinds.add(out.kind)
+            # the run loop's in-place refresh of every row, before any read
+            for i in range(m):
+                slate.update(i, rng.normal(size=n))
+            start = range(m) if case % 3 else ()
+            same_certificate(out, eager_certificate(before, start))
+            assert same_bits(out.slate_norms, directions.row_norms(before))
+        assert kinds == {DIRECTION, INFEASIBLE}
+
+    def test_every_solve_of_a_run_matches_the_eager_formulas(self, monkeypatch):
+        solves = []
+        real = solvers.central_direction
+
+        def spy(slate, **kwargs):
+            out = real(slate, **kwargs)
+            solves.append((np.array(slate), kwargs, out))
+            return out
+
+        monkeypatch.setattr(solvers, "central_direction", spy)
+        problem = problem_from_name("random-quadratic:10,20,0")
+        records = solvers.run_incremental_central_armijo(
+            problem, np.zeros(20), max_iter=300
+        )
+        assert len(records) == 301 and len(solves) == 300
+        # read only now, after the run has overwritten its slate 300 times
+        for slate, kwargs, out in solves:
+            same_certificate(out, eager_certificate(slate, **kwargs))
+            assert same_bits(out.slate_norms, directions.row_norms(slate))
+
+    def test_slate_norms_are_row_norms_bit_for_bit(self, rng):
+        for _ in range(300):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            slate = np.ldexp(rng.normal(size=(m, n)), rng.integers(-1070, 1021, (m, 1)))
+            if not np.abs(slate).max(axis=1).all():
+                continue
+            with np.errstate(over="ignore"):
+                try:
+                    out = central_direction(slate)
+                except DirectionSolverError:
+                    continue
+                expected = directions.row_norms(slate)
+            assert same_bits(out.slate_norms, expected)
+
+    def test_an_outcome_built_without_a_solve_reads_no_certificate(self):
+        out = directions.DirectionOutcome(kind=DIRECTION, vector=np.ones(2), norm=1.0)
+        assert out.multipliers is None and math.isnan(out.kkt_residual)

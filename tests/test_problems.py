@@ -471,12 +471,24 @@ class TestValuesAndGradients:
             x = np.array(coords)
             ledger = QueryLedger.for_objectives(problem.num_objectives)
             loop = dataclasses.replace(problem, stacked=None)
-            # 1e300 factors overflow to inf on both paths alike
+            # 1e300 factors overflow to inf on both paths alike, and then
+            # values_and_gradients refuses the output of either by name
             with np.errstate(over="ignore"):
-                values, grads = values_and_gradients(problem, x, ledger)
-                ref_values, ref_grads = values_and_gradients(loop, x, ledger)
+                values, grads = problem.stacked(x)
+                ref_values, ref_grads = per_objective(problem, x)
             assert same_bits(values, ref_values)
             assert same_bits(grads, ref_grads)
+            if np.isfinite(values).all() and np.isfinite(grads).all():
+                for query in (problem, loop):
+                    got_values, got_grads = values_and_gradients(query, x, ledger)
+                    assert same_bits(got_values, values)
+                    assert same_bits(got_grads, grads)
+                return
+            for query in (problem, loop):
+                with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match=f"{problem.name!r} returned non-finite"
+                ):
+                    values_and_gradients(query, x, ledger)
 
         check()
 
@@ -722,3 +734,107 @@ class TestBatchedStacked:
         assert ledger.gradient_counts.tolist() == [2 * count] * m
         assert loop_ledger.gradient_counts.tolist() == [2 * count] * m
         assert ledger.function_evals == loop_ledger.function_evals == 0
+
+
+class TestLineQuery:
+    """The function queries of one line search, checked once."""
+
+    def test_values_and_counts_equal_evaluate_per_trial(self):
+        problem = problem_from_name("random-quadratic:10,20,0")
+        rng = np.random.default_rng(3)
+        x, u = rng.normal(size=20), rng.normal(size=20)
+        ledger = QueryLedger.for_objectives(10)
+        reference = QueryLedger.for_objectives(10)
+        line = problems.line_query(problem, x, u, ledger)
+        for i in (0, 3, 3, 9):
+            for alpha in (1.0, 0.5, 2.0**-30, 2.0**-60, 0.0):
+                got = line(i, alpha)
+                expected = evaluate(problem, i, x + alpha * u, reference)
+                assert same_bits(np.float64(got), np.float64(expected))
+        assert ledger.function_counts.tolist() == reference.function_counts.tolist()
+        assert ledger.gradient_evals == 0
+
+    @pytest.mark.parametrize(
+        "x, u, message",
+        [
+            ([np.nan, 0.0], [1.0, 0.0], "point has non-finite coordinates"),
+            ([0.0, np.inf], [1.0, 0.0], "point has non-finite coordinates"),
+            # x and u are finite, but x + u overflows
+            ([1.7e308, 0.0], [1e308, 0.0], r"end point x \+ u is not finite"),
+            ([0.0, 0.0], [np.nan, 0.0], r"end point x \+ u is not finite"),
+            ([0.0, 0.0], [1.0, 0.0, 0.0], r"direction has shape \(3,\)"),
+            ([0.0, 0.0, 0.0], [1.0, 0.0], r"point has shape \(3,\)"),
+        ],
+    )
+    def test_a_bad_line_raises_by_name_before_counting(self, fig1, x, u, message):
+        ledger = QueryLedger.for_objectives(2)
+        with pytest.raises(ValueError, match=f"'figure1'.*{message}"):
+            problems.line_query(fig1, np.array(x), np.array(u), ledger)
+        assert ledger.function_evals == 0
+
+    @pytest.mark.parametrize(
+        "i, alpha, error",
+        [(2, 0.5, IndexError), (-1, 0.5, IndexError), (0, 2.0, ValueError),
+         (0, -0.5, ValueError), (0, math.nan, ValueError)],
+    )
+    def test_a_bad_trial_raises_by_name_before_counting(self, fig1, i, alpha, error):
+        ledger = QueryLedger.for_objectives(2)
+        line = problems.line_query(fig1, np.zeros(2), np.ones(2), ledger)
+        with pytest.raises(error, match="'figure1'"):
+            line(i, alpha)
+        assert ledger.function_evals == 0
+
+
+class TestGradientRows:
+    def test_checks_indices_and_point_once_before_counting(self, fig1, monkeypatch):
+        ledger = QueryLedger.for_objectives(2)
+        with pytest.raises(IndexError):
+            problems.gradient_rows(fig1, (0, 2), np.zeros(2), ledger)
+        with pytest.raises(ValueError, match="non-finite"):
+            problems.gradient_rows(fig1, (0, 1), np.array([0.0, np.nan]), ledger)
+        assert ledger.gradient_evals == 0
+        checks = []
+        check_point = problems._check_point
+
+        def counted(problem, point):
+            checks.append(point)
+            return check_point(problem, point)
+
+        monkeypatch.setattr(problems, "_check_point", counted)
+        x = np.array([1.0, -1.0])
+        rows = problems.gradient_rows(fig1, (1, 0), x, ledger)
+        assert len(checks) == 1 and ledger.gradient_counts.tolist() == [1, 1]
+        reference = QueryLedger.for_objectives(2)
+        for i, g in zip((1, 0), rows):
+            assert same_bits(g, gradient(fig1, i, x, reference))
+
+
+class TestValuesAndGradientsFailByName:
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((3, 2))])
+    @pytest.mark.parametrize("what", ["values", "gradients"])
+    def test_non_finite_output(self, fig1, x, what):
+        def stacked(points):
+            values, grads = fig1.stacked(points)
+            if what == "values":
+                return np.full_like(values, np.nan), grads
+            return values, np.where(grads > 0.0, grads, np.inf)
+
+        bad = dataclasses.replace(fig1, stacked=stacked, name="blowup")
+        with pytest.raises(ValueError, match=f"'blowup' returned non-finite {what}"):
+            values_and_gradients(bad, x, QueryLedger.for_objectives(2))
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((3, 2))])
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_a_failing_callable(self, fig1, x, stacked):
+        def broken(point):
+            raise TypeError("unsupported operand")
+
+        bad = dataclasses.replace(
+            fig1,
+            gradient_fns=(fig1.gradient_fns[0], broken),
+            stacked=(lambda points: broken(points)) if stacked else None,
+            name="broken",
+        )
+        with pytest.raises(ValueError, match="problem 'broken' failed on points") as exc:
+            values_and_gradients(bad, x, QueryLedger.for_objectives(2))
+        assert isinstance(exc.value.__cause__, TypeError)

@@ -30,7 +30,12 @@ from modescent import (
     write_trace_csv,
 )
 from modescent import directions, solvers
-from modescent.problems import gradient, problem_from_name, values_and_gradients
+from modescent.problems import (
+    evaluate,
+    gradient,
+    problem_from_name,
+    values_and_gradients,
+)
 from reference import per_objective, same_bits
 
 
@@ -409,7 +414,7 @@ class TestArmijoBacktrack:
         details = solvers._armijo_details(
             prob, 0, np.array([1.0]), np.array([-1.0]), np.array([2.0]), 0.5, ledger
         )
-        assert details == (1.0, 0.0)  # alpha, f at the accepted point
+        assert details[:2] == (1.0, 0.0)  # alpha, f at the accepted point
         assert ledger.function_evals == 2  # baseline + one trial
 
     def test_halves_until_accepted(self):
@@ -418,7 +423,7 @@ class TestArmijoBacktrack:
         details = solvers._armijo_details(
             prob, 0, np.array([1.0]), np.array([-1.0]), np.array([2.0]), 0.9, ledger
         )
-        assert details == (0.125, 0.765625)
+        assert details[:2] == (0.125, 0.765625)
         assert ledger.function_evals == 5
 
     def test_rejects_non_descent_direction(self):
@@ -1054,18 +1059,18 @@ class TestUnqueriedCertificates:
     @staticmethod
     def spy(monkeypatch):
         queried, calls = set(), []
-        real_gradient, real_central = solvers.gradient, solvers.central_direction
+        real_gradients, real_central = solvers.gradient_rows, solvers.central_direction
 
-        def gradient_spy(problem, i, x, ledger):
-            queried.add(i)
-            return real_gradient(problem, i, x, ledger)
+        def gradients_spy(problem, rows, x, ledger):
+            queried.update(rows)
+            return real_gradients(problem, rows, x, ledger)
 
         def central_spy(slate, **kwargs):
             out = real_central(slate, **kwargs)
             calls.append((len(slate), set(queried), out))
             return out
 
-        monkeypatch.setattr(solvers, "gradient", gradient_spy)
+        monkeypatch.setattr(solvers, "gradient_rows", gradients_spy)
         monkeypatch.setattr(solvers, "central_direction", central_spy)
         return calls
 
@@ -1114,3 +1119,77 @@ class TestUnqueriedCertificates:
                 self.check_run(records, calls, m, 1 if algo == "icd" else 2)
                 partial += any(rows < m for rows, _, _ in calls)
         assert partial > 0
+
+
+def evaluate_per_trial(problem, x, u, ledger):
+    """The line search's queries as they were made before the checked line
+    query: one full ``evaluate`` per trial point."""
+    return lambda i, alpha: evaluate(problem, i, x + alpha * u, ledger)
+
+
+def record_bits(records):
+    # repr keeps a NaN equal to itself and -0.0 apart from 0.0
+    return [
+        (r.k, r.x.tobytes(), repr(r.alpha), repr(r.dir_norm), repr(r.step_floor),
+         r.objective_values.tobytes(), r.grad_evals, r.fn_evals, r.stop_reason)
+        for r in records
+    ]
+
+
+class TestCheckedLineQuery:
+    """All three line searches price a trial through one checked line query
+    per search, with the records and ledger of one ``evaluate`` per trial."""
+
+    @pytest.mark.parametrize(
+        "name", ["figure1", "figure1-scaled:1e-300,1", "random-quadratic:10,20,0"]
+    )
+    @pytest.mark.parametrize("algo", ["icd-armijo", "steepest", "scalarized"])
+    def test_same_records_as_evaluate_per_trial(self, monkeypatch, algo, name):
+        problem = problem_from_name(name)
+        x0 = np.full(problem.dimension, 1.5)
+        checked = run_named(algo, problem, x0, 300)
+        monkeypatch.setattr(solvers, "line_query", evaluate_per_trial)
+        reference = run_named(algo, problem, x0, 300)
+        assert record_bits(checked) == record_bits(reference)
+        # steepest stops at once on figure1-scaled:1e-300,1 (CRIT_TOL is
+        # absolute); every other run makes line searches
+        if len(checked) > 1:
+            assert checked[-1].fn_evals > 2 * len(checked)
+
+    @pytest.mark.parametrize(
+        "name, m", [("random-quadratic:10,20,0", 10), ("random-quadratic:40,10,0", 40)]
+    )
+    def test_step_floor_is_the_row_norms_formula(self, monkeypatch, name, m):
+        # g_j is the first refreshed row; random-quadratic:40,10,0 also takes
+        # the solve over the queried rows only, where j sits elsewhere
+        refreshed = []
+        real = solvers.gradient_rows
+
+        def spy(problem, rows, x, ledger):
+            grads = real(problem, rows, x, ledger)
+            refreshed.append((rows[0], grads[0]))
+            return grads
+
+        monkeypatch.setattr(solvers, "gradient_rows", spy)
+        problem = problem_from_name(name)
+        records = run_incremental_central_armijo(
+            problem, np.full(problem.dimension, 3.0), max_iter=300
+        )
+        steps = completed(records)
+        assert len(steps) > 20
+        for r, (j, g_j) in zip(steps, refreshed):
+            l_j = problem.lipschitz[j]
+            factor = min((1.0 - 0.5) / (2.0 * l_j), 1.0)
+            floor = min(factor * float(directions.row_norms(g_j)[0]) / r.dir_norm, 1.0)
+            assert r.step_floor == floor
+
+    def test_non_finite_diagnostic_gradient_names_the_problem(self):
+        fig1 = problem_from_name("figure1")
+
+        def stacked(x):
+            values, grads = fig1.stacked(x)
+            return values, np.where(grads > 0.0, np.inf, grads)
+
+        problem = dataclasses.replace(fig1, stacked=stacked, name="inf-grads")
+        with pytest.raises(ValueError, match="'inf-grads' returned non-finite gradients"):
+            run_named("icd-armijo", problem, np.array([0.5, 0.5]), 10)
