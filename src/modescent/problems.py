@@ -18,9 +18,10 @@ one :func:`values_and_gradients` call per block of records, and the
 planar field sampler and its streamlines query through
 :func:`gradients_at`. ``evaluate`` and ``gradient`` stay single queries.
 The solvers' iteration paths use :func:`gradient_rows`, several gradients
-at one point checked once, and :func:`line_query`, the trials of one line
-search, whose start, direction and end point are checked once. Every
-query check names the problem.
+at one point checked once, and :func:`line_query`, the queries of one line
+search (ICD-Armijo's baseline at alpha = 0 among them), whose start,
+direction and end point are checked once. Every query check names the
+problem. The ledger counts in Python ints with running totals.
 """
 
 from __future__ import annotations
@@ -95,35 +96,47 @@ class MultiObjectiveProblem:
         return float(max(self.lipschitz))
 
 
-@dataclass
 class QueryLedger:
     """Per-objective counters for function and gradient queries.
 
     Counters only ever increase. Solvers own one ledger per run; diagnostic
     measurements (traces, proximity reports, finite differences) use separate
-    ledgers so they never pollute a solver's accounting.
+    ledgers so they never pollute a solver's accounting. The totals are
+    read in O(1); ``function_counts`` and ``gradient_counts`` are copies.
     """
 
-    function_counts: Array
-    gradient_counts: Array
+    def __init__(self, function_counts: Sequence[int], gradient_counts: Sequence[int]):
+        self._functions = [int(c) for c in function_counts]
+        self._gradients = [int(c) for c in gradient_counts]
+        self.function_evals = sum(self._functions)
+        self.gradient_evals = sum(self._gradients)
 
     @classmethod
     def for_objectives(cls, m: int) -> "QueryLedger":
-        return cls(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
+        return cls([0] * m, [0] * m)
 
     @property
-    def function_evals(self) -> int:
-        return int(self.function_counts.sum())
+    def function_counts(self) -> Array:
+        return np.array(self._functions, dtype=np.int64)
 
     @property
-    def gradient_evals(self) -> int:
-        return int(self.gradient_counts.sum())
+    def gradient_counts(self) -> Array:
+        return np.array(self._gradients, dtype=np.int64)
 
     def tick_function(self, i: int) -> None:
-        self.function_counts[i] += 1
+        self._functions[i] += 1
+        self.function_evals += 1
 
     def tick_gradient(self, i: int) -> None:
-        self.gradient_counts[i] += 1
+        self._gradients[i] += 1
+        self.gradient_evals += 1
+
+    def tick_every(self, functions: int, gradients: int) -> None:
+        """Count a batched query: this many queries on every objective."""
+        self._functions = [c + functions for c in self._functions]
+        self._gradients = [c + gradients for c in self._gradients]
+        self.function_evals += functions * len(self._functions)
+        self.gradient_evals += gradients * len(self._gradients)
 
 
 def _check_point(problem: MultiObjectiveProblem, x: Array) -> Array:
@@ -133,7 +146,7 @@ def _check_point(problem: MultiObjectiveProblem, x: Array) -> Array:
             f"problem {problem.name!r}: point has shape {x.shape},"
             f" expected ({problem.dimension},)"
         )
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError(f"problem {problem.name!r}: point has non-finite coordinates")
     return x
 
@@ -203,9 +216,9 @@ def line_query(
     outside [0, m) and ValueError for an alpha outside [0, 1], both before
     counting anything, then counts one function query on objective i and
     returns f_i(x + alpha * u), the value :func:`evaluate` gives at that
-    point. Rounding is monotone, so each coordinate of x + alpha * u lies
-    between those of x and of x + u: no trial point can be non-finite, and
-    none goes unchecked.
+    point, and f_i(x) itself at alpha = 0. Rounding is monotone, so each
+    coordinate of x + alpha * u lies between those of x and of x + u: no
+    trial point can be non-finite, and none goes unchecked.
     """
     name, m = problem.name, problem.num_objectives
     x = _check_point(problem, x)
@@ -216,7 +229,7 @@ def line_query(
         )
     with np.errstate(over="ignore"):  # an overflow is what this check reports
         end = x + u
-    if not np.isfinite(end).all():
+    if not np.logical_and.reduce(np.isfinite(end)):
         raise ValueError(f"problem {name!r}: line search end point x + u is not finite")
     fns = problem.objectives
 
@@ -228,7 +241,7 @@ def line_query(
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"problem {name!r}: step {alpha!r} outside [0, 1]")
         ledger.tick_function(i)
-        return float(fns[i](x + alpha * u))
+        return float(fns[i](x + alpha * u if alpha else x))
 
     return value
 
@@ -268,8 +281,7 @@ def values_and_gradients(
     x = np.asarray(x, dtype=float)
     x = _check_point(problem, x) if x.ndim == 1 else _check_points(problem, x)
     count = len(x) if x.ndim == 2 else 1
-    ledger.function_counts += count
-    ledger.gradient_counts += count
+    ledger.tick_every(count, count)
     m, n = problem.num_objectives, problem.dimension
     try:
         if problem.stacked is not None:
@@ -330,7 +342,7 @@ def _checked_gradients_at(
         raise ValueError(f"problem {problem.name!r} returned gradients of shape {got}")
     if not np.isfinite(grads).all():
         raise ValueError(f"problem {problem.name!r} returned non-finite gradients")
-    ledger.gradient_counts += len(pts)
+    ledger.tick_every(0, len(pts))
     return grads
 
 

@@ -26,7 +26,8 @@ from one :func:`~modescent.problems.values_and_gradients` call and one
 they never distort the accounting, and the norms are taken after a
 power-of-two prescale, so tiny gradients do not read as zero. The three
 line searches share one backtracking loop and price its trials through
-one :func:`~modescent.problems.line_query` per search, checked once. Both
+one :func:`~modescent.problems.line_query` per search, checked once, which
+also makes ICD-Armijo's baseline query f_j(x) and its swap probe. Both
 incremental methods share one slate refresh, which checks x once for its
 rows, and one central solve, whose KKT certificate no solver reads and so
 none forms.
@@ -215,10 +216,12 @@ def _run(
             done = not isinstance(out, _Step)
             reason, dir_norm = out if done else (None, out.dir_norm)
             supplied = not done and out.values is not None
+            # no step rule writes into an iterate (each returns a new
+            # x_next), so the record holds x itself
             records.append(
                 IterationRecord(
                     k=k,
-                    x=x.copy(),
+                    x=x,
                     alpha=0.0 if done else out.alpha,
                     dir_norm=dir_norm,
                     objective_values=out.values if supplied else None,
@@ -264,7 +267,7 @@ def _central_stepper(problem, x, ledger, slate_init, seed):
     slate, checking x once, and solves the central QP from the previous
     solve's active set. It returns (gradients, outcome, positions), where
     ``positions`` are the rows' indices in the solved slate (for
-    ``outcome.slate_norms``), or the stop pair: NullGradient for a
+    ``outcome.slate_norm``), or the stop pair: NullGradient for a
     null slate row at k = 1 (before any query) or a zero refreshed
     gradient, Infeasible for a QP with no feasible direction within
     ``NORM_CAP`` (both certify criticality). Such a verdict stops the run
@@ -287,7 +290,7 @@ def _central_stepper(problem, x, ledger, slate_init, seed):
         if k == 1 and not slate.all_nonnull:
             return STOP_NULL_GRADIENT, float("nan")
         grads = gradient_rows(problem, rows, x, ledger)
-        if not all(g.any() for g in grads):
+        if not all(np.logical_or.reduce(g) for g in grads):
             return STOP_NULL_GRADIENT, float("nan")
         for i, g in zip(rows, grads):
             slate.update(i, g)
@@ -332,16 +335,16 @@ def _armijo_details(problem, j, x, direction, g_j, beta, ledger):
     Returns (alpha, f_j at the accepted point, the search's
     :func:`~modescent.problems.line_query`), or None when no step within
     ``MAX_HALVINGS`` halvings is acceptable. Counts one baseline query of
-    f_j(x) plus one query per trial. Raises ValueError when d is not a
-    descent direction for g_j.
+    f_j(x), the line query at alpha = 0, plus one query per trial. Raises
+    ValueError when d is not a descent direction for g_j.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
     slope = float(np.asarray(g_j, dtype=float) @ direction)
     if slope >= 0.0:
         raise ValueError("not a descent direction for objective j")
-    f_base = evaluate(problem, j, x, ledger)
     line = line_query(problem, x, direction, ledger)
+    f_base = line(j, 0.0)
     trials: List[float] = []
 
     def decrease(alpha: float) -> float:
@@ -477,7 +480,7 @@ def run_incremental_central_armijo(
             factor = 1.0 if l_j == 0.0 else min((1.0 - beta) / (2.0 * l_j), 1.0)
             # ||g_j|| from the QP's prescaled rows, bit for bit row_norms(g_j);
             # the search starts at alpha = 1, so no floor exceeds it
-            norm_j = float(outcome.slate_norms[positions[0]])
+            norm_j = outcome.slate_norm(positions[0])
             step_floor = min(factor * norm_j / outcome.norm, 1.0)
         x_next = x + alpha * unit
         t_next = chooser.next(j)

@@ -493,10 +493,10 @@ class TestBenchmarkTracer:
         assert np.count_nonzero(names == "directions.central") == started
         inside = tracer.ancestors_named({"solvers.run"})
         queries = np.count_nonzero(inside & (names == "problems.query"))
-        # the Armijo baseline f_j(x) is the one query per iteration made
-        # through a wrapped name: the slate refresh (gradient_rows) and the
-        # trials and probe (line_query) check their point once and bypass it
-        assert queries == started
+        # no ICD-Armijo query goes through a wrapped name: the slate refresh
+        # (gradient_rows) and the baseline f_j(x), the trials and the probe
+        # (one line_query per search) check their point once and bypass them
+        assert queries == 0
         assert last.grad_evals == 2 * started and last.fn_evals >= 3 * started
 
     @pytest.mark.parametrize("problem, box, start", FIELD_SPAN_CASES)

@@ -833,6 +833,163 @@ class TestWarmStart:
                 assert err <= 1e-12 * cold.norm * max(1.0, cold.norm)
 
 
+def _wolfe_both_ways(pts, start):
+    """Wolfe's answer from ``start`` with the whole-slate pass, the generic
+    loop's answer with that pass refusing, and the pass's verdicts (True
+    when it returned). A DirectionSolverError answers as its message."""
+    real, verdicts = directions._whole_corral, []
+
+    def spy(*args):
+        out = real(*args)
+        verdicts.append(out is not None)
+        return out
+
+    def solve():
+        try:
+            return directions._wolfe_min_norm_point(pts, start)
+        except DirectionSolverError as err:
+            return str(err)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(directions, "_whole_corral", spy)
+        fast = solve()
+        mp.setattr(directions, "_whole_corral", lambda *args: None)
+        return fast, solve(), verdicts
+
+
+def _same_answer(fast, loop):
+    if isinstance(loop, str):
+        return fast == loop
+    (x, w, support), (x0, w0, support0) = fast, loop
+    return same_bits(x, x0) and same_bits(w, w0) and support == support0
+
+
+class TestWholeCorral:
+    """The warm whole-slate pass is the generic loop's first pass, bit for
+    bit, and every other corral goes on to that loop."""
+
+    def test_warm_start_slates_match_the_loop(self):
+        rng = np.random.default_rng(3)
+        taken = 0
+        for case in range(300):
+            m, n = int(rng.integers(1, 13)), int(rng.integers(1, 21))
+            unit = _unit_rows(_warm_start_slate(rng, m, n, case))
+            subset = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+            for start in (range(m), tuple(subset)):
+                fast, loop, verdicts = _wolfe_both_ways(unit, start)
+                assert _same_answer(fast, loop), (case, tuple(start))
+                taken += sum(verdicts)
+        assert taken >= 100
+
+    def test_a_run_trajectory_matches_the_loop(self, monkeypatch):
+        calls = []
+        real = directions._wolfe_min_norm_point
+
+        def spy(pts, start=()):
+            calls.append((pts.copy(), tuple(start)))
+            return real(pts, start)
+
+        monkeypatch.setattr(directions, "_wolfe_min_norm_point", spy)
+        problem = problem_from_name("random-quadratic:10,20,0")
+        records = solvers.run_incremental_central_armijo(
+            problem, np.zeros(20), max_iter=500
+        )
+        monkeypatch.undo()
+        assert len(records) == 501 and len(calls) == 500
+        taken = []
+        for pts, start in calls:
+            fast, loop, verdicts = _wolfe_both_ways(pts, start)
+            assert _same_answer(fast, loop)
+            taken += verdicts
+        # the pass answers most warm solves, and some go on to the loop
+        assert len(calls) > sum(taken) > len(calls) // 2
+
+    def test_a_pruned_vertex_skips_the_pass(self):
+        rng = np.random.default_rng(5)
+        slate = rng.normal(size=(6, 8))
+        slate[4] = 3.0 * slate[1]  # the same unit row twice
+        fast, loop, verdicts = _wolfe_both_ways(_unit_rows(slate), range(6))
+        assert verdicts == [] and _same_answer(fast, loop)
+        assert tuple(fast[2]) == central_direction(slate).active_set
+
+    def test_a_negative_affine_weight_leaves_the_pass(self):
+        # the origin, the affine hull's min-norm point, is outside the triangle
+        pts = np.array([[1.0, 0.0], [2.0, 1.0], [2.0, -1.0]])
+        assert directions._affine_minimizer(pts @ pts.T).min() < 0.0
+        fast, loop, verdicts = _wolfe_both_ways(pts, range(3))
+        assert verdicts == [False] and _same_answer(fast, loop)
+        assert fast[2] == [0]
+
+    def test_a_failed_optimality_test_leaves_the_pass(self):
+        # points of norm about 300 round the optimality test past its
+        # absolute 1e-12 gap; the loop then stalls on a corral vertex
+        rng = np.random.default_rng(0)
+        while True:
+            pts = (rng.normal(size=(3, 5)) + 3.0 * rng.normal(size=5)) * 100.0
+            if directions._affine_minimizer(pts @ pts.T).min() >= 0.0:
+                fast, loop, verdicts = _wolfe_both_ways(pts, range(3))
+                if verdicts == [False]:
+                    break
+        assert _same_answer(fast, loop) and "stalled" in fast
+
+
+class TestLapackKernels:
+    """``directions._lapack`` runs the gufuncs of ``np.linalg.solve`` and
+    ``np.linalg.cholesky`` directly, with their results and errors."""
+
+    @pytest.mark.parametrize("name, types", [("solve1", "dd->d"), ("cholesky_lo", "d->d")])
+    def test_numpy_has_the_gufunc(self, name, types):
+        from numpy.linalg import _umath_linalg
+
+        assert types in getattr(_umath_linalg, name).types
+
+    def test_same_bits_as_np_linalg(self, rng):
+        from numpy.linalg import _umath_linalg
+
+        for _ in range(300):
+            k = int(rng.integers(1, 13))
+            a = rng.normal(size=(k, k)) * np.exp(rng.uniform(-5.0, 5.0))
+            b = rng.normal(size=k)
+            got = directions._lapack(_umath_linalg.solve1, "Singular matrix", a, b)
+            assert same_bits(got, np.linalg.solve(a, b))
+            spd = a @ a.T + 1e-3 * np.eye(k)
+            got = directions._lapack(_umath_linalg.cholesky_lo, "not PD", spd)
+            assert same_bits(got, np.linalg.cholesky(spd))
+
+    def test_an_exactly_singular_system_reaches_least_squares(self, monkeypatch):
+        gram = np.ones((3, 3))  # three equal unit rows: a singular bordered system
+        kkt = np.ones((4, 4))
+        kkt[3, 3] = 0.0
+        rhs = np.array([0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt, rhs)
+        # the weights as np.linalg.solve's LinAlgError left them
+        expected = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:3]
+        total = float(expected.sum())
+        if abs(total - 1.0) > 1e-8 and abs(total) > 1e-300:
+            expected = expected / total
+        calls = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = directions._affine_minimizer(gram)
+        assert calls == [1] and same_bits(beta, expected)
+
+    def test_a_lifted_gram_that_is_not_positive_definite_raises(self):
+        from numpy.linalg import _umath_linalg
+
+        lifted = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                directions._lapack(
+                    _umath_linalg.cholesky_lo, "Matrix is not positive definite", lifted
+                )
+
+
 class TestSimplexProjection:
     def test_fixed_points(self):
         assert project_rows_to_simplex(np.array([0.2, 0.3, 0.5])) == pytest.approx(
@@ -1002,8 +1159,12 @@ def same_certificate(out, expected):
     assert same_bits(np.float64(out.kkt_residual), np.float64(residual))
 
 
+def slate_norms(out, m):
+    return np.array([out.slate_norm(i) for i in range(m)])
+
+
 class TestDeferredCertificate:
-    """``multipliers``, ``kkt_residual`` and ``slate_norms`` are formed on
+    """``multipliers``, ``kkt_residual`` and ``slate_norm`` are formed on
     first read, from arrays the outcome owns."""
 
     def test_overwriting_the_slate_changes_nothing(self, rng):
@@ -1019,7 +1180,7 @@ class TestDeferredCertificate:
                 slate.update(i, rng.normal(size=n))
             start = range(m) if case % 3 else ()
             same_certificate(out, eager_certificate(before, start))
-            assert same_bits(out.slate_norms, directions.row_norms(before))
+            assert same_bits(slate_norms(out, m), directions.row_norms(before))
         assert kinds == {DIRECTION, INFEASIBLE}
 
     def test_every_solve_of_a_run_matches_the_eager_formulas(self, monkeypatch):
@@ -1040,7 +1201,7 @@ class TestDeferredCertificate:
         # read only now, after the run has overwritten its slate 300 times
         for slate, kwargs, out in solves:
             same_certificate(out, eager_certificate(slate, **kwargs))
-            assert same_bits(out.slate_norms, directions.row_norms(slate))
+            assert same_bits(slate_norms(out, len(slate)), directions.row_norms(slate))
 
     def test_slate_norms_are_row_norms_bit_for_bit(self, rng):
         for _ in range(300):
@@ -1054,7 +1215,17 @@ class TestDeferredCertificate:
                 except DirectionSolverError:
                     continue
                 expected = directions.row_norms(slate)
-            assert same_bits(out.slate_norms, expected)
+            assert same_bits(slate_norms(out, m), expected)
+
+    def test_an_overflowing_slate_norm_reads_inf(self):
+        slate = np.array([[1.5e308, 1.5e308], [1.0, -1.0]])
+        out = central_direction(slate)
+        with np.errstate(over="ignore"):
+            expected = directions.row_norms(slate)
+        assert expected[0] == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(slate_norms(out, 2), expected)
 
     def test_an_outcome_built_without_a_solve_reads_no_certificate(self):
         out = directions.DirectionOutcome(kind=DIRECTION, vector=np.ones(2), norm=1.0)

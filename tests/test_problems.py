@@ -207,6 +207,32 @@ class TestQueryLedger:
         assert list(ledger.gradient_counts) == [1, 1]
 
 
+    def test_totals_are_the_per_objective_sums(self):
+        problem = problem_from_name("random-quadratic:3,2,0")
+        pts = np.random.default_rng(7).normal(size=(5, 2))
+        ledger = QueryLedger.for_objectives(3)
+        evaluate(problem, 2, pts[0], ledger)
+        gradient(problem, 0, pts[1], ledger)
+        values_and_gradients(problem, pts, ledger)
+        values_and_gradients(problem, pts[0], ledger)
+        gradients_at(problem, pts, ledger)
+        problems.line_query(problem, pts[0], pts[1], ledger)(1, 0.5)
+        problems.gradient_rows(problem, (1, 1), pts[2], ledger)
+        assert ledger.function_counts.tolist() == [6, 7, 7]
+        assert ledger.gradient_counts.tolist() == [12, 13, 11]
+        assert ledger.function_evals == sum(ledger.function_counts.tolist()) == 20
+        assert ledger.gradient_evals == sum(ledger.gradient_counts.tolist()) == 36
+
+    def test_counts_read_as_int64_arrays(self):
+        ledger = QueryLedger(np.array([4, 0]), [1, 2])
+        ledger.tick_function(1)
+        for counts, expected in ((ledger.function_counts, [4, 1]),
+                                 (ledger.gradient_counts, [1, 2])):
+            assert counts.dtype == np.int64 and counts.shape == (2,)
+            assert counts.tolist() == expected
+            assert all(type(c) is int for c in counts.tolist())
+        assert (ledger.function_evals, ledger.gradient_evals) == (5, 3)
+
 class TestValidation:
     def test_accepts_stock_problems(self, fig1, quad_family):
         validate_problem(fig1)
@@ -753,6 +779,19 @@ class TestLineQuery:
                 assert same_bits(np.float64(got), np.float64(expected))
         assert ledger.function_counts.tolist() == reference.function_counts.tolist()
         assert ledger.gradient_evals == 0
+
+    def test_alpha_zero_queries_x_itself(self):
+        # atan2 tells -0.0 from 0.0, which x + 0 * u = 0.0 would lose
+        problem = MultiObjectiveProblem(
+            dimension=1,
+            objectives=(lambda x: math.atan2(x[0], -1.0),),
+            gradient_fns=(lambda x: np.zeros(1),),
+        )
+        x = np.array([-0.0])
+        ledger = QueryLedger.for_objectives(1)
+        value = problems.line_query(problem, x, np.ones(1), ledger)(0, 0.0)
+        assert value == evaluate(problem, 0, x, ledger) == -math.pi
+        assert ledger.function_counts.tolist() == [2]
 
     @pytest.mark.parametrize(
         "x, u, message",

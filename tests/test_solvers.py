@@ -1193,3 +1193,15 @@ class TestCheckedLineQuery:
         problem = dataclasses.replace(fig1, stacked=stacked, name="inf-grads")
         with pytest.raises(ValueError, match="'inf-grads' returned non-finite gradients"):
             run_named("icd-armijo", problem, np.array([0.5, 0.5]), 10)
+
+
+@pytest.mark.parametrize("algo", ["icd", "icd-armijo", "steepest", "scalarized", "iag"])
+def test_records_own_their_iterates(algo):
+    # _run stores each x without a copy: a step that wrote into its x would
+    # hand the next record the same array
+    problem = problem_from_name("random-quadratic:4,3,0")
+    x0 = np.full(3, 2.0)
+    records = run_named(algo, problem, x0, 30)
+    x0[:] = np.nan
+    assert len({id(r.x) for r in records}) == len(records) >= 10
+    assert same_bits(records[0].x, np.full(3, 2.0))
