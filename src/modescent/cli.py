@@ -33,6 +33,7 @@ from .directions import (
 )
 from .fields import (
     DEFAULT_MASK_SCALE,
+    FieldGrid,
     _check_streamline_settings,
     sample_field,
     trace_streamline,
@@ -180,7 +181,8 @@ def build_parser() -> _Parser:
     field.add_argument("--mask-scale", type=float, default=DEFAULT_MASK_SCALE,
                        help="mask a node once its criticality ratio falls to this "
                        "many grid spacings")
-    field.add_argument("--channel", help="restrict the grid CSV to one channel")
+    field.add_argument("--channel", choices=FieldGrid.CHANNEL_ORDER,
+                       help="restrict the grid CSV to one channel")
     field.add_argument("--out", required=True, help="grid CSV path")
     field.add_argument("--field", choices=("central", "steepest"), default="central",
                        help="direction field for streamlines")
@@ -336,7 +338,7 @@ def _cmd_field(args) -> int:
     if args.streamlines:
         starts.extend(_read_seed_points(args.streamlines))
     if starts:
-        _check_streamline_settings(args.field, args.step)
+        _check_streamline_settings(args.field, args.step, args.max_steps)
         if any(len(start) != problem.dimension for start in starts):
             raise ValueError(f"streamline seeds need {problem.dimension} coordinates")
     grid = sample_field(problem, box, args.resolution, mask_scale=args.mask_scale)

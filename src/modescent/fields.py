@@ -226,13 +226,15 @@ def sample_field(
     )
 
 
-def _check_streamline_settings(field: str, step: float) -> None:
-    """Raise ValueError unless ``field`` names a direction field and
-    ``step`` is finite and positive."""
+def _check_streamline_settings(field: str, step: float, max_steps: int) -> None:
+    """Raise ValueError unless ``field`` names a direction field, ``step``
+    is finite and positive and the ``max_steps`` cap is at least 0."""
     if field not in ("central", "steepest"):
         raise ValueError(f"unknown field {field!r}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps!r}")
 
 
 def trace_streamline(
@@ -259,8 +261,9 @@ def trace_streamline(
     invariant under positive rescalings of the objectives. It also
     halts on an infeasible QP, a norm-capped one (norm above ``NORM_CAP``),
     a null (exactly zero) gradient, a box exit, or after ``max_steps``
-    steps. The steepest field halts once ||direction|| <
-    ``STEEPEST_CRIT_TOL`` (plus box exit and the step cap). Every recorded
+    steps (0 allowed; a negative cap raises ValueError). The steepest field
+    halts once ||direction|| < ``STEEPEST_CRIT_TOL`` (plus box exit and the
+    step cap). Every recorded
     step of a central streamline strictly decreases every objective.
 
     Each central solve after the first starts the min-norm iteration from
@@ -274,7 +277,7 @@ def trace_streamline(
     it the central solve, and about 0.09 ms on ``random-quadratic:3,2,0``
     (m = 3, the triangle closed form).
     """
-    _check_streamline_settings(field, step)
+    _check_streamline_settings(field, step, max_steps)
     x = np.array(x0, dtype=float)
     checked_box = None if box is None else _check_box(box, problem.dimension)
     lip = _positive_lipschitz(problem)

@@ -22,13 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .directions import (
-    INFEASIBLE,
-    _prescaled_rows,
-    central_direction,
-    row_norms,
-    steepest_direction,
-)
+from .directions import _prescaled_rows, _stacked_qp_values, steepest_direction
 from .problems import MultiObjectiveProblem, QueryLedger, gradient_all
 
 Array = np.ndarray
@@ -52,23 +46,20 @@ def proximity_at(
     """Evaluate all criticality measures at x.
 
     Queries every gradient once on ``ledger`` (a fresh diagnostic ledger by
-    default, so solver accounting stays untouched). A null gradient means x
-    is critical: the central norm is reported as +inf and the ratio as 0.
+    default, so solver accounting stays untouched) and takes the measures
+    as :func:`~modescent.fields.sample_field` takes them at a grid node, bit
+    for bit: the stack form of both QPs over a stack of one slate. A null
+    gradient means x is critical: the central norm is reported as +inf,
+    the steepest value as 0 and the ratio as 0; an infeasible central QP
+    also reads +inf.
     """
     if ledger is None:
         ledger = QueryLedger.for_objectives(problem.num_objectives)
     grads = gradient_all(problem, x, ledger)
-    min_grad = float(row_norms(grads).min())
-    _, value = steepest_direction(grads)
-    if min_grad == 0.0:
-        return ProximityReport(0.0, float("inf"), value, 0.0)
-    outcome = central_direction(grads)
-    if outcome.kind == INFEASIBLE:
-        central = float("inf")
-    else:
-        central = outcome.norm
-    ratio = min_grad / central if math.isfinite(central) else 0.0
-    return ProximityReport(min_grad, central, value, ratio)
+    sizes, steepest, central = _stacked_qp_values(grads[None])
+    min_grad, central_norm = float(sizes.min()), float(central[0])
+    ratio = min_grad / central_norm if math.isfinite(central_norm) else 0.0
+    return ProximityReport(min_grad, central_norm, float(steepest[0]), ratio)
 
 
 def rate_bound(
@@ -129,8 +120,10 @@ def alignment_gap(gradients: Union[Array, Sequence], radius: float) -> float:
     the ball; 0 means the origin lies in the hull of the normalized
     gradients. By minimax duality z(R) equals -R times the distance from
     the origin to that hull, computed here through ``steepest_direction``
-    on the normalized gradients. That runs the same Wolfe min-norm kernel
-    as central_direction, so the two cannot vouch for each other; the tests
+    on the normalized gradients. That runs the min-norm kernel table
+    ``central_direction`` runs on the same unit rows (the pair closed form
+    for m = 2, the triangle closed form for m = 3, Wolfe's corral
+    otherwise), so the two cannot vouch for each other; the tests
     cross-check z(R) against ``steepest_dual_reference`` in
     ``tests/reference.py`` for any n and ``oracle``'s angular sweep for
     n = 2.

@@ -6,22 +6,24 @@ gradient evaluation is counted in a caller-owned :class:`QueryLedger`, so the
 incremental solvers can prove their per-iteration query budgets.
 
 :func:`values_and_gradients` asks for all m values and all m gradients at
-one point, or at each of N points, in a single call, and
-:func:`gradients_at` for every gradient at each of N points. Both use the
-problem's optional ``stacked`` callable, a closed-form evaluation of every
-objective at once that takes points of shape (..., n), and otherwise loop
-over the per-objective callables; that loop is the reference the stacked
-forms are tested against, bit for bit. Every shipped factory supplies
-``stacked``. :func:`gradient_all` is the N = 1 case of
-:func:`gradients_at`; the solvers fill their per-record diagnostics from
-one :func:`values_and_gradients` call per block of records, and the
-planar field sampler and its streamlines query through
-:func:`gradients_at`. ``evaluate`` and ``gradient`` stay single queries.
-The solvers' iteration paths use :func:`gradient_rows`, several gradients
-at one point checked once, and :func:`line_query`, the queries of one line
-search (ICD-Armijo's baseline at alpha = 0 among them), whose start,
-direction and end point are checked once. Every query check names the
-problem. The ledger counts in Python ints with running totals.
+one point, or at each of N points, in a single call; :func:`gradients_at`
+asks for every gradient at each of N points, and :func:`gradient_all` for
+every gradient at one point. All three run one checked batch query, one
+point being the batch of N = 1: the problem's optional ``stacked``
+callable, a closed-form evaluation of every objective at once that takes
+points of shape (..., n), and otherwise a loop over the per-objective
+callables; that loop is the reference the stacked forms are tested
+against, bit for bit. Every shipped factory supplies ``stacked``. The
+solvers fill their per-record diagnostics from one
+:func:`values_and_gradients` call per block of records, the planar field
+sampler queries its grid through :func:`gradients_at`, and streamlines
+and criticality reports query through :func:`gradient_all`. ``evaluate``
+and ``gradient`` stay single queries. The solvers' iteration paths use
+:func:`gradient_rows`, several gradients at one point checked once, and
+:func:`line_query`, the queries of one line search (ICD-Armijo's baseline
+at alpha = 0 among them), whose start, direction and end point are
+checked once. Every query check names the problem. The ledger counts in
+Python ints with running totals.
 """
 
 from __future__ import annotations
@@ -56,9 +58,8 @@ class MultiObjectiveProblem:
         Points of shape (..., n) -> (values of shape (..., m), gradients of
         shape (..., m, n)): every objective and gradient at every point at
         once, equal bit for bit to the per-objective callables point by
-        point. Used by :func:`values_and_gradients` (one point, shape (n,),
-        or an (N, n) batch) and :func:`gradients_at` (an (N, n) batch), in
-        one call; without it both loop over ``objectives``/``gradient_fns``.
+        point. Every batch query calls it once, on an (N, n) batch; without
+        it they loop over ``objectives``/``gradient_fns``.
     """
 
     dimension: int
@@ -262,8 +263,7 @@ def gradient_all(
 
     The N = 1 case of :func:`gradients_at`, with the point checked once.
     """
-    x = _check_point(problem, x)
-    return _checked_gradients_at(problem, x[None], ledger)[0]
+    return _batch_query(problem, _check_point(problem, x)[None], ledger, False)[1][0]
 
 
 def values_and_gradients(
@@ -272,42 +272,18 @@ def values_and_gradients(
     """All m values (m,) and gradients (m, n) at one point x (n,), or
     (N, m) and (N, m, n) at each point of a batch x (N, n), in one call.
 
-    Checks x once and counts one function and one gradient query per
-    objective and point, as ``evaluate_all`` plus ``gradient_all`` would.
-    Uses ``problem.stacked`` when present, otherwise the per-objective
-    callables. Raises ValueError on a bad point and, naming the problem, on
-    a failed query or output of the wrong shape or non-finite output.
+    Checks x once, and after a successful query counts one function and one
+    gradient query per objective and point, as ``evaluate_all`` plus
+    ``gradient_all`` would. One point is the batch of N = 1. Raises
+    ValueError on a bad point and, naming the problem, on a failed query,
+    output of the wrong shape, or non-finite values or gradients.
     """
     x = np.asarray(x, dtype=float)
-    x = _check_point(problem, x) if x.ndim == 1 else _check_points(problem, x)
-    count = len(x) if x.ndim == 2 else 1
-    ledger.tick_every(count, count)
-    m, n = problem.num_objectives, problem.dimension
-    try:
-        if problem.stacked is not None:
-            values, grads = problem.stacked(x)
-        elif x.ndim == 1:
-            values = [f(x) for f in problem.objectives]
-            grads = [g(x) for g in problem.gradient_fns]
-        else:  # an empty batch keeps the shapes (0, m) and (0, m, n)
-            values = [[f(p) for f in problem.objectives] for p in x] or np.empty((0, m))
-            grads = [[g(p) for g in problem.gradient_fns] for p in x] or np.empty((0, m, n))
-        values = np.asarray(values, dtype=float)
-        grads = np.asarray(grads, dtype=float)
-    except (IndexError, TypeError, ValueError) as exc:
-        msg = f"problem {problem.name!r} failed on points of shape {x.shape}"
-        raise ValueError(msg) from exc
-    lead = x.shape[:-1]
-    if values.shape != lead + (m,) or grads.shape != lead + (m, n):
-        raise ValueError(
-            f"problem {problem.name!r} returned values of shape {values.shape}"
-            f" and gradients of shape {grads.shape},"
-            f" expected {lead + (m,)} and {lead + (m, n)}"
-        )
-    for what, out in (("values", values), ("gradients", grads)):
-        if not np.isfinite(out).all():
-            raise ValueError(f"problem {problem.name!r} returned non-finite {what}")
-    return values, grads
+    if x.ndim == 1:
+        pts = _check_point(problem, x)[None]
+        values, grads = _batch_query(problem, pts, ledger, True)
+        return values[0], grads[0]
+    return _batch_query(problem, _check_points(problem, x), ledger, True)
 
 
 def gradients_at(
@@ -315,35 +291,53 @@ def gradients_at(
 ) -> Array:
     """Every gradient at each of N points, stacked (N, m, n).
 
-    One ``problem.stacked`` call for the batch (values dropped), else the
-    per-objective gradient callables point by point; counts m gradient
-    queries per point. Raises ValueError on bad points and, naming the
-    problem, on a failed query or wrong-shaped or non-finite gradients.
+    Counts m gradient queries per point. Raises ValueError on bad points
+    and, naming the problem, on a failed query, output of the wrong shape
+    or non-finite gradients.
     """
-    return _checked_gradients_at(problem, _check_points(problem, points), ledger)
+    return _batch_query(problem, _check_points(problem, points), ledger, False)[1]
 
 
-def _checked_gradients_at(
-    problem: MultiObjectiveProblem, pts: Array, ledger: QueryLedger
-) -> Array:
-    """:func:`gradients_at` of an already checked float (N, n) batch."""
-    fns, m, n = problem.gradient_fns, problem.num_objectives, problem.dimension
+def _batch_query(
+    problem: MultiObjectiveProblem, pts: Array, ledger: QueryLedger, with_values: bool
+) -> Tuple[Array, Array]:
+    """Values (N, m) and gradients (N, m, n) at a checked float (N, n) batch.
+
+    The one place that queries a batch: one ``problem.stacked`` call, else
+    the per-objective callables point by point, which skip the values when
+    ``with_values`` is False (their placeholder is zeros; ``stacked`` has no
+    gradient-only form, so it computes values that such a query drops).
+    Raises ValueError naming the problem on a failed callable, on either
+    output of the wrong shape, and on non-finite gradients or, with
+    ``with_values``, non-finite values. Only then counts N gradient queries
+    per objective, and N function queries with ``with_values``.
+    """
+    m, n, count = problem.num_objectives, problem.dimension, len(pts)
     try:
         if problem.stacked is not None:
-            grads = problem.stacked(pts)[1]
-        else:  # an empty batch keeps the shape (0, m, n)
-            grads = [[g(x) for g in fns] for x in pts] or np.empty((0, m, n))
+            values, grads = problem.stacked(pts)
+        else:  # an empty batch keeps the shapes (0, m) and (0, m, n)
+            values = np.zeros((count, m))
+            if with_values:
+                values = [[f(x) for f in problem.objectives] for x in pts] or values
+            grads = [[g(x) for g in problem.gradient_fns] for x in pts]
+            grads = grads or np.empty((0, m, n))
+        values = np.asarray(values, dtype=float)
         grads = np.asarray(grads, dtype=float)
     except (IndexError, TypeError, ValueError) as exc:
         msg = f"problem {problem.name!r} failed on points of shape {pts.shape}"
         raise ValueError(msg) from exc
-    if grads.shape != (len(pts), m, n):
-        got = f"{grads.shape} at {len(pts)} points, expected {(len(pts), m, n)}"
-        raise ValueError(f"problem {problem.name!r} returned gradients of shape {got}")
-    if not np.isfinite(grads).all():
-        raise ValueError(f"problem {problem.name!r} returned non-finite gradients")
-    ledger.tick_every(0, len(pts))
-    return grads
+    if values.shape != (count, m) or grads.shape != (count, m, n):
+        raise ValueError(
+            f"problem {problem.name!r} returned values of shape {values.shape}"
+            f" and gradients of shape {grads.shape},"
+            f" expected {(count, m)} and {(count, m, n)}"
+        )
+    for what, out in (("values", values), ("gradients", grads)):
+        if (with_values or what == "gradients") and not np.isfinite(out).all():
+            raise ValueError(f"problem {problem.name!r} returned non-finite {what}")
+    ledger.tick_every(count if with_values else 0, count)
+    return values, grads
 
 
 def make_figure1_problem() -> MultiObjectiveProblem:

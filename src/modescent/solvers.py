@@ -175,16 +175,14 @@ def _fill_diagnostics(
 
 
 class _Step(NamedTuple):
-    """A completed iteration: step length, direction norm, next iterate.
-    ``values``/``min_grad`` replace the diagnostics when the step rule has
-    queried them at the pre-step point on the run ledger anyway."""
+    """A completed iteration: step length, direction norm, next iterate and
+    ICD-Armijo's guaranteed step floor. The record's objective values and
+    smallest gradient norm are :func:`_run`'s to fill, for every method."""
 
     alpha: float
     dir_norm: float
     x_next: Array
     step_floor: Optional[float] = None
-    values: Optional[Array] = None
-    min_grad: float = float("nan")
 
 
 def _run(
@@ -201,21 +199,23 @@ def _run(
     :class:`_Step`, or a (stop reason, direction norm) pair that ends the
     run. Each started iteration gets one record of its pre-step x, with the
     ledger read after the iteration's queries; past ``max_iter`` iterations
-    the run ends with a MaxIter record. A record whose step supplies no
-    ``values``/``min_grad`` waits for :func:`_fill_diagnostics`, run on
-    every ``_DIAGNOSTIC_BLOCK`` waiting records and at the end; a run that
+    (0 allowed, a negative cap raises ValueError) the run ends with a
+    MaxIter record. Every record's objective values and smallest gradient
+    norm come from :func:`_fill_diagnostics`, run on each
+    ``_DIAGNOSTIC_BLOCK`` records and on the rest at the end; a run that
     raises fills them first, so a failing diagnostic raises ahead of any
     later step's error. With ``ratio`` False (the baselines)
     ``ratio_metric`` is NaN.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
     records: List[IterationRecord] = []
-    pending: List[IterationRecord] = []
+    filled = 0
     try:
         for k in itertools.count(1):
             out = step(k, x) if k <= max_iter else (STOP_MAX_ITER, float("nan"))
             done = not isinstance(out, _Step)
             reason, dir_norm = out if done else (None, out.dir_norm)
-            supplied = not done and out.values is not None
             # no step rule writes into an iterate (each returns a new
             # x_next), so the record holds x itself
             records.append(
@@ -224,8 +224,8 @@ def _run(
                     x=x,
                     alpha=0.0 if done else out.alpha,
                     dir_norm=dir_norm,
-                    objective_values=out.values if supplied else None,
-                    min_grad_norm=out.min_grad if supplied else float("nan"),
+                    objective_values=None,
+                    min_grad_norm=float("nan"),
                     ratio_metric=float("nan"),
                     grad_evals=ledger.gradient_evals,
                     fn_evals=ledger.function_evals,
@@ -233,17 +233,15 @@ def _run(
                     step_floor=None if done else out.step_floor,
                 )
             )
-            if not supplied:
-                pending.append(records[-1])
-                if len(pending) == _DIAGNOSTIC_BLOCK:
-                    block, pending = pending, []
-                    _fill_diagnostics(problem, block)
+            if len(records) - filled == _DIAGNOSTIC_BLOCK:
+                _fill_diagnostics(problem, records[filled:])
+                filled = len(records)
             if done:
                 break
             x = out.x_next
     finally:
-        if pending:
-            _fill_diagnostics(problem, pending)
+        if filled < len(records):
+            _fill_diagnostics(problem, records[filled:])
     if ratio:  # min_grad / dir_norm, 0 for an infinite norm, NaN stays NaN
         for r in records:
             r.ratio_metric = (
@@ -539,10 +537,7 @@ def run_full_steepest(
         )
         if alpha is None:
             return STOP_LINE_SEARCH_STALL, float("nan")
-        return _Step(
-            alpha, vnorm, x + alpha * v,
-            values=f_base, min_grad=float(row_norms(grads).min()),
-        )
+        return _Step(alpha, vnorm, x + alpha * v)
 
     return _run(problem, np.array(x0, dtype=float), ledger, step, max_iter, ratio=False)
 

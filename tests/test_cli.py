@@ -141,6 +141,8 @@ class TestSolve:
             (("--problem", "figure1-scaled:nan,1"), "finite and positive"),
             (("--problem", "figure1-scaled:1,inf"), "finite and positive"),
             (("--algo", "scalarized:nan,1"), "weights must be finite"),
+            (("--max-iter", "-1"), "max_iter must be at least 0"),
+            (("--algo", "steepest", "--max-iter", "-5"), "max_iter must be at least 0"),
         ],
     )
     def test_bad_numbers_exit_one_by_name(self, capsys, argv, name):
@@ -215,13 +217,25 @@ class TestField:
         assert code == 0
         assert path.read_text().splitlines()[1] == "x,y,central_norm,critical_mask"
 
-    def test_bad_channel_exits_one(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "field", "--res", "5", "--channel", "bogus",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 1
-        assert "unknown channel" in err
+    @pytest.mark.parametrize("config", ["", "channel=bogus\n"], ids=["flag", "config"])
+    def test_bad_channel_exits_one(self, capsys, tmp_path, monkeypatch, config):
+        # argparse refuses the channel, from argv or a config file, before
+        # the grid is sampled
+        def unsampled(*args, **kwargs):
+            raise AssertionError("the grid was sampled")
+
+        monkeypatch.setattr(cli, "sample_field", unsampled)
+        argv = ["field", "--res", "80", "--out", str(tmp_path / "x.csv")]
+        if config:
+            (tmp_path / "field.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "field.cfg")]
+        else:
+            argv += ["--channel", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "argument --channel: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
     @pytest.mark.parametrize(
@@ -247,8 +261,11 @@ class TestField:
             (("--streamline", "0.5,0.5"), "field=bogus\n", "field"),
             (("--streamline", "0.5,0.5,0.5"), "", "coordinates"),
             (("--streamlines", "missing.csv"), "", "missing.csv"),
+            (("--max-steps", "-1", "--streamline", "0.5,0.5"), "", "max_steps"),
+            (("--streamline", "0.5,0.5"), "max-steps=-3\n", "max_steps"),
         ],
-        ids=["step", "field", "seed-coordinates", "seed-file"],
+        ids=["step", "field", "seed-coordinates", "seed-file", "max-steps",
+             "max-steps-config"],
     )
     def test_bad_streamline_setting_writes_nothing(
         self, capsys, tmp_path, monkeypatch, argv, config, name

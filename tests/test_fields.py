@@ -417,6 +417,13 @@ class TestTraceStreamline:
         with pytest.raises(ValueError, match="step"):
             trace_streamline(fig1, (0.5, 0.5), step=step, box=BOX)
 
+    def test_negative_step_cap_raises_and_zero_is_allowed(self, fig1):
+        # a negative cap once traced a 0-step line labelled max-steps
+        with pytest.raises(ValueError, match="max_steps must be at least 0, got -3"):
+            trace_streamline(fig1, (0.5, 0.5), max_steps=-3, box=BOX)
+        pts, halt = trace_streamline(fig1, (0.5, 0.5), max_steps=0, box=BOX)
+        assert halt == "max-steps" and pts.tolist() == [[0.5, 0.5]]
+
 
 WARM_CASES = [("figure1", WIDE)] + [
     (f"random-quadratic:{m},2,{p}", QUAD_BOX) for m in (3, 4) for p in range(3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modescent import (
+    FieldGrid,
     alignment_gap,
     angular_sweep_alignment_gap,
     central_direction,
@@ -14,11 +15,13 @@ from modescent import (
     make_figure1_problem,
     perturbation_margin,
     make_scaled_variant,
+    problem_from_name,
     proximity_at,
     rate_bound,
     rate_bound_margins,
+    sample_field,
 )
-from reference import steepest_dual_reference
+from reference import same_bits, steepest_dual_reference
 
 SQRT2 = math.sqrt(2.0)
 ORTH = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -86,6 +89,28 @@ class TestProximity:
         assert rep.min_grad_norm == pytest.approx(4e-300, rel=1e-15)
         assert rep.central_norm == pytest.approx(ref.central_norm, rel=1e-12)
         assert rep.ratio == pytest.approx(4e-300 / SQRT2, rel=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "figure1",
+            "figure1-scaled:1e-300,1",
+            "random-quadratic:3,2,0",
+            "random-quadratic:4,2,0",
+        ],
+    )
+    def test_each_grid_node_reads_the_field_channels(self, name):
+        # proximity_at measures one sample_field node; the figure1 grid holds
+        # both individual minimizers and an efficient point
+        problem = problem_from_name(name)
+        grid = sample_field(problem, ((-2.0, 1.0), (-2.0, 1.0)), 7)
+        for iy, y in enumerate(grid.ys):
+            for ix, x in enumerate(grid.xs):
+                rep = proximity_at(problem, np.array([x, y]))
+                for channel in FieldGrid.CHANNEL_ORDER:
+                    got = np.float64(getattr(rep, channel))
+                    assert same_bits(got, grid.channels[channel][iy, ix]), channel
 
 
 class TestRateBound:

@@ -419,6 +419,10 @@ class TestValuesAndGradients:
         assert sorted(calls) == [("f", 1), ("f", 2), ("f", 3), ("g", 1), ("g", 2), ("g", 3)]
         assert values.tolist() == [2.0, 4.0, 6.0]
         assert grads.tolist() == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+        # a gradient query's loop skips the values it would drop
+        calls.clear()
+        assert same_bits(gradient_all(problem, np.array([2.0, 5.0]), ledger), grads)
+        assert sorted(calls) == [("g", 1), ("g", 2), ("g", 3)]
 
     def test_ticks_one_query_per_objective(self):
         problem = problem_from_name("random-quadratic:10,20,0")
@@ -613,7 +617,8 @@ class TestGradientsAt:
         wide = dataclasses.replace(
             fig1, stacked=lambda x: (np.zeros(2), np.zeros((2, 3))), name="wide"
         )
-        with pytest.raises(ValueError, match="'wide' returned gradients of shape"):
+        shapes = r"'wide' returned values of shape \(2,\) and gradients of shape"
+        with pytest.raises(ValueError, match=shapes):
             gradients_at(wide, points, ledger)
         # a non-finite gradient at the second node only
         bad = dataclasses.replace(
@@ -627,6 +632,26 @@ class TestGradientsAt:
         with pytest.raises(ValueError, match="'blowup' returned non-finite"):
             gradients_at(bad, points, ledger)
         assert ledger.gradient_evals == 0
+
+    def test_gradient_queries_ignore_non_finite_values(self, fig1):
+        # a gradient query drops the values, so it keeps the finite
+        # gradients of a stacked form whose values are infinite; the query
+        # that asks for values refuses them by name
+        def stacked(x):
+            values, grads = fig1.stacked(x)
+            return np.full_like(values, np.inf), grads
+
+        bad = dataclasses.replace(fig1, stacked=stacked, name="inf-values")
+        points = np.random.default_rng(2).uniform(-3.0, 1.0, size=(5, 2))
+        ledger = QueryLedger.for_objectives(2)
+        assert same_bits(gradients_at(bad, points, ledger), fig1.stacked(points)[1])
+        for x in points:
+            assert same_bits(gradient_all(bad, x, ledger), fig1.stacked(x[None])[1][0])
+        assert ledger.gradient_counts.tolist() == [10, 10]
+        for x in (points, points[0]):
+            with pytest.raises(ValueError, match="'inf-values' returned non-finite values"):
+                values_and_gradients(bad, x, ledger)
+        assert (ledger.function_evals, ledger.gradient_evals) == (0, 20)
 
     def test_single_point_stacked_raises_by_name(self, fig1):
         rq = problem_from_name("random-quadratic:3,2,0")

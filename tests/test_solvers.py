@@ -1196,6 +1196,17 @@ class TestCheckedLineQuery:
 
 
 @pytest.mark.parametrize("algo", ["icd", "icd-armijo", "steepest", "scalarized", "iag"])
+def test_a_negative_iteration_cap_raises_and_zero_is_allowed(algo):
+    # a negative cap once ended a run of 0 iterations as if at the cap
+    problem = problem_from_name("random-quadratic:4,3,0")
+    with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
+        run_named(algo, problem, np.ones(3), -1)
+    (record,) = run_named(algo, problem, np.ones(3), 0)
+    assert (record.k, record.stop_reason, record.grad_evals) == (1, "MaxIter", 0)
+    assert record.objective_values.shape == (4,)
+
+
+@pytest.mark.parametrize("algo", ["icd", "icd-armijo", "steepest", "scalarized", "iag"])
 def test_records_own_their_iterates(algo):
     # _run stores each x without a copy: a step that wrote into its x would
     # hand the next record the same array
